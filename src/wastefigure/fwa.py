@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .energy import LN2, EnergyContext, _require
-from .relay import _hop_waste
+from .relay import _fixed_power_term, _hop_waste
 
 __all__ = [
     "TrafficMix",
@@ -159,9 +159,14 @@ def fwa_ratio(s: FwaScenario) -> float:
     return fwa_relayed_energy(s) / fwa_direct_energy(s)
 
 
+def _direct_weight(s: FwaScenario) -> float:
+    """D: traffic-weighted W_tx / G_rx of the direct route."""
+    return s.traffic.rho_u * s.w_tx_ue / s.g_rx_bs + s.traffic.rho_d * s.w_tx_bs / s.g_rx_ue
+
+
 def rule_coefficients(s: FwaScenario) -> tuple[float, float]:
     """Distance-rule coefficients (A, B) for the current traffic mix."""
-    den = s.traffic.rho_u * s.w_tx_ue / s.g_rx_bs + s.traffic.rho_d * s.w_tx_bs / s.g_rx_ue
+    den = _direct_weight(s)
     a_num = s.traffic.rho_u * s.w_tx_ue / s.g_rx_ap + s.traffic.rho_d * s.w_tx_bs / s.g_rx_ap
     b_num = s.traffic.rho_u * s.w_tx_ap / s.g_rx_bs + s.traffic.rho_d * s.w_tx_ap / s.g_rx_ue
     return a_num / den, b_num / den
@@ -184,12 +189,20 @@ def fwa_ellipse_axes(s: FwaScenario) -> tuple[float, float]:
 
 
 def fwa_verdict(s: FwaScenario) -> FwaVerdict:
-    """Full comparison: energies, ratio, decision, and rule margin."""
+    """Full comparison: energies, ratio, decision, and rule margin.
+
+    The margin includes the non-path power term, so its sign follows the
+    decision.
+    """
     e3 = fwa_direct_energy(s)
     e12 = fwa_relayed_energy(s)
     ratio = e12 / e3
     a, b = rule_coefficients(s)
-    margin = s.d3**s.alpha - (a * s.d1**s.alpha + b * s.d2**s.alpha)
+    margin = (
+        s.d3**s.alpha
+        - (a * s.d1**s.alpha + b * s.d2**s.alpha)
+        - _fixed_power_term(s.ctx, s.k, _direct_weight(s))
+    )
     return FwaVerdict(
         e_direct=e3,
         e_relayed=e12,

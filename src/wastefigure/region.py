@@ -173,17 +173,20 @@ def region_subset(inner: FeasibilityRegion, outer: FeasibilityRegion) -> bool:
 
 
 def write_region_csv(region: FeasibilityRegion, path) -> None:
-    """Write the sweep as CSV rows x,y,advantageous (floats at full precision)."""
-    xs = region.spec.x_points()
-    ys = region.spec.y_points()
-    lines = ["x,y,advantageous"]
-    for i in range(region.spec.nx):
-        x = xs[i]
-        row = region.mask[i]
-        for j in range(region.spec.ny):
-            lines.append(f"{x:.17g},{ys[j]:.17g},{int(row[j])}")
+    """Write the sweep as CSV rows x,y,advantageous (floats at full precision).
+
+    Each ``,y,flag`` line tail is formatted once per sweep and each x once
+    per row; a grid row is one join of its tails, streamed to the file.
+    """
+    ys = region.spec.y_points().tolist()
+    tail0 = [f",{y:.17g},0\n" for y in ys]
+    tail1 = [f",{y:.17g},1\n" for y in ys]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("x,y,advantageous\n")
+        for x, row in zip(region.spec.x_points().tolist(), region.mask.tolist()):
+            prefix = f"{x:.17g}"
+            tails = [t1 if m else t0 for t0, t1, m in zip(tail0, tail1, row)]
+            fh.write(prefix + prefix.join(tails))
 
 
 def _rle_encode(flat: np.ndarray) -> tuple[int, list[int]]:

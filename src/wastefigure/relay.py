@@ -104,9 +104,26 @@ class RelayVerdict:
 
 def _hop_waste(w_tx: float, g_rx: float, d: float, alpha: float, k: float, hop: str) -> float:
     """Wide-coverage waste of one hop: w_tx / (g_rx * g_hop), g_hop = k/d**alpha."""
-    g_hop = k / d**alpha
+    try:
+        g_hop = k / d**alpha
+        waste = w_tx / (g_rx * g_hop)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(
+            f"{hop}: d**alpha = {d!r}**{alpha!r} is outside the float range"
+        ) from None
     _check_regime(g_rx * g_hop, hop)
-    return w_tx / (g_rx * g_hop)
+    return waste
+
+
+def _fixed_power_term(ctx: EnergyContext, k: float, den: float) -> float:
+    """Non-path power as a distance-rule term: k * p_np / (n0 * C * ln2 * D).
+
+    ``den`` is D, the direct route's W_tx / G_rx weight. The term is exactly
+    zero without non-path power, so the p_np = 0 rule is unchanged.
+    """
+    if ctx.p_np == 0.0:
+        return 0.0
+    return (ctx.p_np / ctx.capacity) / (LN2 * ctx.n0) * (k / den)
 
 
 def direct_energy(s: RelayScenario) -> float:
@@ -140,12 +157,7 @@ def decision_rule_holds(s: RelayScenario, include_pnp: bool = False) -> bool:
         + (s.w_tx_relay / s.w_tx_source) * s.d2**s.alpha
     )
     if include_pnp:
-        rhs += (
-            s.k
-            * (s.g_rx_sink / s.w_tx_source)
-            * s.ctx.p_np
-            / (s.ctx.n0 * s.ctx.capacity * LN2)
-        )
+        rhs += _fixed_power_term(s.ctx, s.k, s.w_tx_source / s.g_rx_sink)
     return s.d3**s.alpha > rhs
 
 
@@ -165,14 +177,18 @@ def ellipse_axes(s: RelayScenario) -> tuple[float, float]:
 
 
 def relay_verdict(s: RelayScenario) -> RelayVerdict:
-    """Full comparison: energies, ratio, decision, and rule margin."""
+    """Full comparison: energies, ratio, decision, and rule margin.
+
+    The margin is the distance rule with its non-path power term, so its
+    sign follows the decision.
+    """
     e3 = direct_energy(s)
     e12 = relayed_energy(s)
     ratio = e12 / e3
     margin = s.d3**s.alpha - (
         (s.g_rx_sink / s.g_rx_relay) * s.d1**s.alpha
         + (s.w_tx_relay / s.w_tx_source) * s.d2**s.alpha
-    )
+    ) - _fixed_power_term(s.ctx, s.k, s.w_tx_source / s.g_rx_sink)
     return RelayVerdict(
         e_direct=e3,
         e_relayed=e12,

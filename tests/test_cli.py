@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -527,6 +530,25 @@ class TestCliContract:
         )
         assert "wrote" not in out
         assert f"wrote JSON report: {out_json}" in err
+
+    @pytest.mark.parametrize("command, section, body", [
+        ("relay", "relay_scenario", RELAY_BODY),
+        ("fwa", "fwa_scenario", FWA_BODY),
+    ])
+    @pytest.mark.parametrize("scale", [1e60, 1e-70])
+    def test_unrepresentable_distance_exits_1(self, scenario, command, section, body, scale):
+        doc = {section: dict(body, alpha=6.0, d1=0.5 * scale, d2=0.6 * scale, d3=scale)}
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "wastefigure.cli", command, scenario(doc)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "outside the float range" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_regime_notes_go_to_stderr(self, scenario, capsys):
         # normalized geometry with d < 1 sits outside the wide-coverage

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from wastefigure import (
     ApproximationRegimeWarning,
@@ -235,6 +236,45 @@ class TestEllipse:
                 d2=bx * base.d3 * math.sin(theta),
             )
             assert abs(fwa_verdict(s).decision_margin) < 1e-12
+
+
+class TestMarginWithFixedPower:
+    @given(
+        w=st.tuples(*[st.floats(1.0, 20.0)] * 3),
+        g=st.tuples(*[st.floats(0.5, 3.0)] * 3),
+        rho_u=st.floats(0.0, 1.0),
+        alpha=st.floats(2.0, 6.0),
+        d=st.tuples(st.floats(0.1, 2.0), st.floats(0.1, 2.0), st.floats(0.5, 3.0)),
+        k=st.floats(0.5, 2.0),
+        p_np=st.floats(-14.0, 0.0),
+    )
+    def test_margin_sign_is_the_verdict(self, w, g, rho_u, alpha, d, k, p_np):
+        s = FwaScenario(
+            w_tx_ue=w[0], w_tx_bs=w[1], w_tx_ap=w[2],
+            g_rx_ue=10.0 ** g[0], g_rx_bs=10.0 ** g[1], g_rx_ap=10.0 ** g[2],
+            traffic=TrafficMix.from_uplink(rho_u),
+            alpha=alpha, d1=d[0], d2=d[1], d3=d[2], k=k,
+            ctx=EnergyContext(n0=1e-20, capacity=1e8, p_np=10.0**p_np),
+        )
+        v = fwa_verdict(s)
+        assume(abs(v.ratio - 1.0) > 1e-9)
+        assert (v.decision_margin > 0.0) == v.use_ap
+
+    def test_zero_fixed_power_margin_is_the_distance_rule(self):
+        rng = np.random.default_rng(37)
+        for _ in range(200):
+            s = random_scenario(rng)
+            a, b = rule_coefficients(s)
+            assert fwa_verdict(s).decision_margin == s.d3**s.alpha - (
+                a * s.d1**s.alpha + b * s.d2**s.alpha
+            )
+
+    @pytest.mark.parametrize("scale", [1e60, 1e-70])
+    def test_unrepresentable_distance_is_a_named_value_error(self, scale):
+        s = hw_scenario(0.5, alpha=6.0, d1=0.5 * scale, d2=0.6 * scale, d3=scale)
+        match = r"direct uplink: d\*\*alpha .* outside the float range"
+        with pytest.raises(ValueError, match=match):
+            fwa_verdict(s)
 
 
 class TestValidation:

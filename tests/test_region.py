@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wastefigure import (
     EnergyContext,
+    FeasibilityRegion,
     FwaScenario,
     GridSpec,
     RelayScenario,
@@ -243,6 +245,62 @@ class TestCsv:
         xs = [float(r[0]) for r in rows]
         assert xs == sorted(xs)
         assert xs[0] == xs[1] < xs[2]
+
+
+def reference_write_csv(region, path):
+    """The per-point CSV formatter, kept as the reference for the format."""
+    xs = region.spec.x_points()
+    ys = region.spec.y_points()
+    lines = ["x,y,advantageous"]
+    for i in range(region.spec.nx):
+        x = xs[i]
+        row = region.mask[i]
+        for j in range(region.spec.ny):
+            lines.append(f"{x:.17g},{ys[j]:.17g},{int(row[j])}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def assert_csv_matches_reference(region, directory):
+    write_region_csv(region, directory / "region.csv")
+    reference_write_csv(region, directory / "reference.csv")
+    assert (directory / "region.csv").read_bytes() == (directory / "reference.csv").read_bytes()
+
+
+class TestCsvGoldenBytes:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GridSpec(),
+            GridSpec.planar_around(3.7, nx=61, ny=47),
+            GridSpec(nx=2, ny=2),
+            GridSpec(nx=3, ny=17),
+            GridSpec(x_range=(0.0, 1e-300), y_range=(0.1, 3e5), nx=2, ny=7),
+        ],
+        ids=["normalized-201", "planar", "2x2", "3x17", "extreme-range"],
+    )
+    def test_swept_grid_matches_reference(self, spec, tmp_path):
+        region = sweep_relay(relay_scn(alpha=2.0), spec)
+        assert 0.0 < region.area_fraction < 1.0
+        assert_csv_matches_reference(region, tmp_path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_grid_and_mask_match_reference(self, data, tmp_path_factory):
+        mode = data.draw(st.sampled_from(["normalized", "planar"]))
+        low = 0.0 if mode == "normalized" else -1e300
+        bound = st.floats(min_value=low, max_value=1e300, allow_nan=False)
+        x_range = sorted(data.draw(st.lists(bound, min_size=2, max_size=2, unique=True)))
+        y_range = sorted(data.draw(st.lists(bound, min_size=2, max_size=2, unique=True)))
+        nx = data.draw(st.integers(min_value=2, max_value=9))
+        ny = data.draw(st.integers(min_value=2, max_value=9))
+        spec = GridSpec(mode=mode, x_range=x_range, y_range=y_range, nx=nx, ny=ny)
+        bits = data.draw(st.lists(st.booleans(), min_size=nx * ny, max_size=nx * ny))
+        mask = np.array(bits, dtype=bool).reshape(nx, ny)
+        region = FeasibilityRegion(
+            spec=spec, mask=mask, area_fraction=float(mask.mean()), scenario=relay_scn()
+        )
+        assert_csv_matches_reference(region, tmp_path_factory.mktemp("csv"))
 
 
 class TestJson:

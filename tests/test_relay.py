@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from wastefigure import (
     ApproximationRegimeWarning,
@@ -209,6 +210,59 @@ class TestVerdict:
         assert v.ratio == 1.0
         assert not v.use_relay
         assert v.decision_margin == 0.0
+
+
+class TestMarginWithFixedPower:
+    @given(
+        w_src=st.floats(1.0, 20.0),
+        w_rel=st.floats(1.0, 20.0),
+        g_rel=st.floats(1.0, 4.0),
+        g_snk=st.floats(1.0, 4.0),
+        alpha=st.floats(2.0, 6.0),
+        d1=st.floats(0.1, 2.0),
+        d2=st.floats(0.1, 2.0),
+        d3=st.floats(0.5, 3.0),
+        k=st.floats(0.5, 2.0),
+        p_np=st.floats(-14.0, 0.0),
+    )
+    def test_margin_sign_is_the_verdict(
+        self, w_src, w_rel, g_rel, g_snk, alpha, d1, d2, d3, k, p_np
+    ):
+        s = RelayScenario(
+            w_tx_source=w_src, w_tx_relay=w_rel,
+            g_rx_relay=10.0**g_rel, g_rx_sink=10.0**g_snk,
+            alpha=alpha, d1=d1, d2=d2, d3=d3, k=k,
+            ctx=EnergyContext(n0=1e-20, capacity=1e8, p_np=10.0**p_np),
+        )
+        v = relay_verdict(s)
+        assume(abs(v.ratio - 1.0) > 1e-9)
+        assert (v.decision_margin > 0.0) == v.use_relay
+        assert decision_rule_holds(s, include_pnp=True) == v.use_relay
+
+    def test_fixed_power_flips_the_margin(self):
+        s = reference_scenario(ctx=EnergyContext(n0=1e-20, capacity=1e8, p_np=1e-9))
+        v = relay_verdict(s)
+        assert not v.use_relay
+        assert v.decision_margin < 0.0
+        assert relay_verdict(reference_scenario()).decision_margin > 0.0
+
+    def test_zero_fixed_power_margin_is_the_distance_rule(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            s = random_scenario(rng, k=rng.uniform(0.5, 2.0))
+            assert relay_verdict(s).decision_margin == s.d3**s.alpha - (
+                (s.g_rx_sink / s.g_rx_relay) * s.d1**s.alpha
+                + (s.w_tx_relay / s.w_tx_source) * s.d2**s.alpha
+            )
+
+
+class TestUnrepresentableDistance:
+    @pytest.mark.parametrize("scale", [1e60, 1e-70])
+    def test_named_value_error(self, scale):
+        s = reference_scenario(d1=0.5 * scale, d2=0.6 * scale, d3=scale)
+        match = r"direct hop: d\*\*alpha .* outside the float range"
+        with pytest.raises(ValueError, match=match):
+            relay_verdict(s)
 
 
 class TestValidation:
