@@ -11,16 +11,21 @@ mask. Two grid modes:
   distances to the grid point.
 
 Membership uses the strict inequality, so boundary points (where the
-two routes tie) count as not advantageous. Evaluations are pointwise
-independent; sweeps may fan rows out to worker threads and still
-assemble bit-identical masks.
+two routes tie) count as not advantageous.
+
+For a fixed grid row x the rule's right-hand side never decreases as
+|y| grows (both coefficients are positive, and d1 and d2 grow with
+|y|), so a row's advantageous cells form one contiguous interval around
+y = 0. Sweeps find each row's two interval ends by bisection over all
+rows at once and build the mask from the resulting runs. The bisection
+evaluates the same elementwise expression as a full-grid evaluation,
+but at O(nx log ny) points instead of nx * ny, so masks are unchanged.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,13 +112,30 @@ class FeasibilityRegion:
     scenario: RelayScenario | FwaScenario
 
 
-def _rule_mask(spec: GridSpec, alpha: float, a: float, b: float, workers: int) -> np.ndarray:
+def _first_true(pred, nrows: int, start: int, stop: int) -> np.ndarray:
+    """Per row, the first j in [start, stop) with pred true, else stop.
+
+    ``pred(rows, js)`` evaluates the predicate at (rows[k], js[k]) and must
+    be false-then-true along j in every row.
+    """
+    lo = np.full(nrows, start)
+    hi = np.full(nrows, stop)
+    while True:
+        rows = np.flatnonzero(lo < hi)
+        if rows.size == 0:
+            return lo
+        mid = (lo[rows] + hi[rows]) // 2
+        t = pred(rows, mid)
+        hi[rows[t]] = mid[t]
+        lo[rows[~t]] = mid[~t] + 1
+
+
+def _rule_mask(spec: GridSpec, alpha: float, a: float, b: float) -> np.ndarray:
     xs = spec.x_points()
     ys = spec.y_points()
 
-    def rows(i0: int, i1: int) -> np.ndarray:
-        x = xs[i0:i1, None]
-        y = ys[None, :]
+    def holds(rows: np.ndarray, js: np.ndarray) -> np.ndarray:
+        x, y = xs[rows], ys[js]
         if spec.mode == "normalized":
             d1, d2, lhs = x, y, 1.0
         else:
@@ -122,19 +144,14 @@ def _rule_mask(spec: GridSpec, alpha: float, a: float, b: float, workers: int) -
             lhs = spec.d3**alpha
         return lhs > a * d1**alpha + b * d2**alpha
 
-    if workers <= 1:
-        return rows(0, spec.nx)
-    mask = np.empty((spec.nx, spec.ny), dtype=bool)
-    bounds = np.linspace(0, spec.nx, workers + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            (i0, i1, pool.submit(rows, i0, i1))
-            for i0, i1 in zip(bounds[:-1], bounds[1:])
-            if i1 > i0
-        ]
-        for i0, i1, fut in futures:
-            mask[i0:i1] = fut.result()
-    return mask
+    # members are a prefix of the y >= 0 half and a suffix of the y < 0 half
+    j0 = int(np.searchsorted(ys, 0.0))
+    his = _first_true(lambda rows, js: ~holds(rows, js), spec.nx, j0, spec.ny)
+    los = _first_true(holds, spec.nx, 0, j0)
+    # x-major runs: lo cells out, hi - lo cells in, ny - hi cells out per row
+    runs = np.stack([los, his - los, spec.ny - his], axis=1).ravel()
+    cells = np.tile(np.array([False, True, False]), spec.nx)
+    return np.repeat(cells, runs).reshape(spec.nx, spec.ny)
 
 
 def _finish(spec: GridSpec, mask: np.ndarray, scenario) -> FeasibilityRegion:
@@ -142,7 +159,7 @@ def _finish(spec: GridSpec, mask: np.ndarray, scenario) -> FeasibilityRegion:
     return FeasibilityRegion(
         spec=spec,
         mask=mask,
-        area_fraction=float(mask.mean()),
+        area_fraction=np.count_nonzero(mask) / mask.size,
         scenario=scenario,
     )
 
@@ -152,17 +169,22 @@ def sweep_relay(s: RelayScenario, spec: GridSpec, workers: int = 1) -> Feasibili
 
     The scenario's stored d1/d2/d3 are not used: each grid point implies
     its own geometry (normalized ratios, or planar positions with the
-    grid's d3).
+    grid's d3). Each grid row's advantageous cells are one interval whose
+    ends are found by bisection. ``workers`` is accepted and ignored; it
+    is kept only so that existing callers keep working.
     """
     a = s.g_rx_sink / s.g_rx_relay
     b = s.w_tx_relay / s.w_tx_source
-    return _finish(spec, _rule_mask(spec, s.alpha, a, b, workers), s)
+    return _finish(spec, _rule_mask(spec, s.alpha, a, b), s)
 
 
 def sweep_fwa(s: FwaScenario, spec: GridSpec, workers: int = 1) -> FeasibilityRegion:
-    """Sweep the FWA distance rule; coefficients follow the traffic mix."""
+    """Sweep the FWA distance rule; coefficients follow the traffic mix.
+
+    Same interval kernel as ``sweep_relay``; ``workers`` is ignored.
+    """
     a, b = rule_coefficients(s)
-    return _finish(spec, _rule_mask(spec, s.alpha, a, b, workers), s)
+    return _finish(spec, _rule_mask(spec, s.alpha, a, b), s)
 
 
 def region_subset(inner: FeasibilityRegion, outer: FeasibilityRegion) -> bool:

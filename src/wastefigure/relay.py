@@ -111,6 +111,11 @@ def _hop_waste(w_tx: float, g_rx: float, d: float, alpha: float, k: float, hop: 
         raise ValueError(
             f"{hop}: d**alpha = {d!r}**{alpha!r} is outside the float range"
         ) from None
+    if not math.isfinite(waste):
+        raise ValueError(
+            f"{hop}: waste w_tx / (g_rx * k / d**alpha) = "
+            f"{w_tx!r} / ({g_rx!r} * {k!r} / {d!r}**{alpha!r}) is outside the float range"
+        )
     _check_regime(g_rx * g_hop, hop)
     return waste
 

@@ -550,6 +550,29 @@ class TestCliContract:
         assert "outside the float range" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command, section, body, hop", [
+        ("relay", "relay_scenario",
+         dict(RELAY_BODY, g_rx_relay_db=-50.0, g_rx_sink_db=-50.0), "direct hop"),
+        ("fwa", "fwa_scenario",
+         dict(FWA_BODY, g_rx_ue_db=-50.0, g_rx_bs_db=-50.0, g_rx_ap_db=-50.0),
+         "direct uplink"),
+    ])
+    def test_overflowing_waste_exits_1_naming_the_hop(
+        self, scenario, command, section, body, hop
+    ):
+        doc = {section: dict(body, alpha=6.1, d1=5e49, d2=6e49, d3=1e50)}
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "wastefigure.cli", command, scenario(doc)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {hop}: waste ")
+        assert "outside the float range" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_regime_notes_go_to_stderr(self, scenario, capsys):
         # normalized geometry with d < 1 sits outside the wide-coverage
         # regime; the report stays on stdout, the caveat lands on stderr

@@ -277,6 +277,26 @@ class TestMarginWithFixedPower:
             fwa_verdict(s)
 
 
+class TestOverflowingWaste:
+    # d**alpha is finite, but w_tx / (g_rx * k / d**alpha) overflows to inf
+    def scenario(self, d1, d2, d3):
+        hw = dict(HW, g_rx_ue=1e-5, g_rx_bs=1e-5, g_rx_ap=1e-5)
+        return FwaScenario(
+            traffic=TrafficMix.from_uplink(0.5), alpha=6.1,
+            d1=d1, d2=d2, d3=d3, ctx=CTX0, **hw,
+        )
+
+    def test_direct_uplink_named(self):
+        s = self.scenario(5e49, 6e49, 1e50)
+        with pytest.raises(ValueError, match=r"^direct uplink: waste .* outside the float range"):
+            fwa_verdict(s)
+
+    def test_relayed_hop_named(self):
+        s = self.scenario(1.0, 6e49, 1.0)
+        with pytest.raises(ValueError, match=r"^uplink second hop: waste .* outside the float range"):
+            fwa_verdict(s)
+
+
 class TestValidation:
     def test_traffic_type_checked(self):
         with pytest.raises(ValueError, match="TrafficMix"):

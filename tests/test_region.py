@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wastefigure import (
     EnergyContext,
@@ -193,6 +193,133 @@ class TestParallelSweeps:
             write_region_csv(sweep_relay(s, spec, workers=1 + 3 * i), path)
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
+
+
+def reference_rule_mask(spec, alpha, a, b):
+    """Full-grid broadcast evaluation of the rule: the sweeps must equal it bit for bit."""
+    x = spec.x_points()[:, None]
+    y = spec.y_points()[None, :]
+    if spec.mode == "normalized":
+        d1, d2, lhs = x, y, 1.0
+    else:
+        d1 = np.hypot(x, y)
+        d2 = np.hypot(x - spec.d3, y)
+        lhs = spec.d3**alpha
+    return lhs > a * d1**alpha + b * d2**alpha
+
+
+def fwa_scn(alpha=4.0, g_rx_ap=10.0):
+    return FwaScenario(
+        w_tx_ue=3.0, w_tx_bs=15.0, w_tx_ap=10.0,
+        g_rx_ue=10.0, g_rx_bs=10.0**1.5, g_rx_ap=g_rx_ap,
+        traffic=TrafficMix.from_uplink(0.5),
+        alpha=alpha, d1=0.4, d2=0.5, d3=1.0, ctx=CTX0,
+    )
+
+
+def swept_and_reference(kind, s, spec):
+    if kind == "relay":
+        region = sweep_relay(s, spec)
+        a, b = s.g_rx_sink / s.g_rx_relay, s.w_tx_relay / s.w_tx_source
+    else:
+        region = sweep_fwa(s, spec)
+        a, b = rule_coefficients(s)
+    return region, reference_rule_mask(spec, s.alpha, a, b)
+
+
+def planar(x_range, y_range, nx, ny, d3=1.0):
+    return GridSpec(mode="planar", x_range=x_range, y_range=y_range, nx=nx, ny=ny, d3=d3)
+
+
+class TestIntervalKernelExact:
+    @pytest.mark.parametrize("kind", ["relay", "fwa"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GridSpec.planar_around(3.7, nx=2001, ny=2001),
+            planar((-1.0, 2.0), (0.05, 1.5), 101, 89),
+            planar((-1.0, 2.0), (-1.5, -0.05), 101, 89),
+            planar((-1.0, 2.0), (-0.3, 1.7), 113, 97),
+            planar((-1.0, 2.0), (-1.0, 2.0), 87, 301),
+            GridSpec(x_range=(0.2, 1.5), y_range=(0.0, 1.5), nx=97, ny=113),
+            GridSpec(nx=2, ny=2),
+            GridSpec(nx=3, ny=17),
+            GridSpec.planar_around(1.0, nx=2, ny=2),
+            GridSpec.planar_around(1.0, nx=3, ny=17),
+        ],
+        ids=[
+            "planar-2001", "planar-y-above-0", "planar-y-below-0",
+            "planar-off-centre", "planar-zero-on-grid", "normalized-x-above-0",
+            "normalized-2x2", "normalized-3x17", "planar-2x2", "planar-3x17",
+        ],
+    )
+    def test_mask_equals_full_grid_kernel(self, kind, spec):
+        s = relay_scn(alpha=4.0) if kind == "relay" else fwa_scn(alpha=4.0)
+        region, expected = swept_and_reference(kind, s, spec)
+        assert np.array_equal(region.mask, expected)
+        assert region.area_fraction == float(region.mask.mean())
+
+    @pytest.mark.parametrize("kind", ["relay", "fwa"])
+    @pytest.mark.parametrize(
+        "spec, g_rx",
+        [
+            (GridSpec(x_range=(0.0, 1e200), y_range=(0.0, 1.5), nx=41, ny=43), 1e3),
+            (planar((-1e100, 1e100), (-2.0, 2.0), 41, 43), 1e3),
+            (planar((-1.0, 2.0), (-1e200, 1e200), 41, 43), 1e3),
+            (GridSpec.planar_around(3.7, nx=61, ny=59), 1e-300),
+            (GridSpec(nx=61, ny=59), 1e-300),
+        ],
+        ids=["normalized-range", "planar-x-range", "planar-y-range",
+             "planar-coefficient", "normalized-coefficient"],
+    )
+    def test_overflow_to_inf_drops_whole_rows(self, kind, spec, g_rx):
+        # g_rx is the first hop's receiver gain: a tiny one makes A ~ 1e301
+        if kind == "relay":
+            s = relay_scn(alpha=4.0, g_rx_relay=g_rx)
+        else:
+            s = fwa_scn(alpha=4.0, g_rx_ap=g_rx)
+        region, expected = swept_and_reference(kind, s, spec)
+        assert np.array_equal(region.mask, expected)
+        assert not region.mask.any(axis=1).all()
+        assert region.area_fraction == float(region.mask.mean())
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_grid_matches_full_grid_kernel(self, data):
+        mode = data.draw(st.sampled_from(["normalized", "planar"]))
+        alpha = data.draw(st.floats(min_value=0.5, max_value=6.0))
+        coeff = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e)
+        a, b = data.draw(coeff), data.draw(coeff)
+        d3 = data.draw(st.floats(min_value=0.1, max_value=10.0))
+        # the advantageous set lies in d1 < sx * d3 and d2 < sy * d3; drawing
+        # the grid ranges around that box keeps most masks nontrivial
+        sx, sy = a ** (-1.0 / alpha), b ** (-1.0 / alpha)
+        if mode == "normalized":
+            box, low = ((0.0, sx), (0.0, sy)), 0.0
+        else:
+            assume(sx + sy > 1.0)  # otherwise no point of the plane qualifies
+            h = min(sx, sy) * d3
+            box, low = ((max(-sx, 1.0 - sy) * d3, min(sx, 1.0 + sy) * d3), (-h, h)), -0.5
+        ranges = []
+        for lo, hi in box:
+            start = data.draw(st.floats(min_value=low, max_value=0.9))
+            width = data.draw(st.floats(min_value=0.05, max_value=2.0))
+            ranges.append((lo + start * (hi - lo), lo + (start + width) * (hi - lo)))
+        spec = GridSpec(
+            mode=mode,
+            x_range=ranges[0],
+            y_range=ranges[1],
+            nx=data.draw(st.integers(min_value=2, max_value=300)),
+            ny=data.draw(st.integers(min_value=2, max_value=300)),
+            d3=d3,
+        )
+        s = RelayScenario(
+            w_tx_source=1e3, w_tx_relay=1e3 * b, g_rx_relay=1.0, g_rx_sink=a,
+            alpha=alpha, d1=0.5, d2=0.5, d3=1.0, ctx=CTX0,
+        )
+        region, expected = swept_and_reference("relay", s, spec)
+        assert np.array_equal(region.mask, expected)
+        assert region.area_fraction == float(region.mask.mean())
 
 
 class TestSubset:

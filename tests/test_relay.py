@@ -265,6 +265,25 @@ class TestUnrepresentableDistance:
             relay_verdict(s)
 
 
+class TestOverflowingWaste:
+    # d**alpha is finite, but w_tx / (g_rx * k / d**alpha) overflows to inf
+    def scenario(self, d1, d2, d3):
+        return RelayScenario(
+            w_tx_source=1.0, w_tx_relay=2.0, g_rx_relay=1e-5, g_rx_sink=1e-5,
+            alpha=6.1, d1=d1, d2=d2, d3=d3, ctx=CTX0,
+        )
+
+    def test_direct_hop_named(self):
+        s = self.scenario(5e49, 6e49, 1e50)
+        with pytest.raises(ValueError, match=r"^direct hop: waste .* outside the float range"):
+            relay_verdict(s)
+
+    def test_relayed_hop_named(self):
+        s = self.scenario(6e49, 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"^source-relay hop: waste .* outside the float range"):
+            relay_verdict(s)
+
+
 class TestValidation:
     def test_waste_below_one_rejected(self):
         with pytest.raises(ValueError, match="w_tx_source"):
