@@ -139,90 +139,62 @@ def _cmd_link(sf: config.ScenarioFile, args) -> tuple[list[str], dict]:
     return lines, doc
 
 
-def _grid_for(sf: config.ScenarioFile, args) -> GridSpec | None:
+# per-kind parts of the relay/fwa command: verdict, axes and sweep functions,
+# the verdict's decision field and its label, whether to print the traffic mix
+_TWO_HOP = {
+    "relay": (relay_verdict, ellipse_axes, sweep_relay, "use_relay", "use relay", False),
+    "fwa": (fwa_verdict, fwa_ellipse_axes, sweep_fwa, "use_ap", "use access point", True),
+}
+
+
+def _cmd_two_hop(sf: config.ScenarioFile, args) -> tuple[list[str], dict]:
+    verdict_fn, axes_fn, sweep_fn, decision, label, show_mix = _TWO_HOP[sf.kind]
+    s = getattr(sf, sf.kind)
+    v = _noted(verdict_fn, s)
+    report = dataclasses.asdict(v)
+    lines = []
+    if show_mix:
+        mix = s.traffic
+        lines.append(f"traffic mix: rho_u = {_fmt(mix.rho_u)}, rho_d = {_fmt(mix.rho_d)}")
+    lines += [
+        _energy_line("direct energy", v.e_direct, s.ctx.n0),
+        _energy_line("assisted energy", v.e_relayed, s.ctx.n0),
+        f"energy ratio (assisted/direct) = {_fmt(v.ratio)}",
+        f"verdict: {label if report[decision] else 'use direct'}",
+        f"rule margin = {_fmt(v.decision_margin)}",
+    ]
+    if s.alpha == 2.0:
+        a, b = axes_fn(s)
+        lines.append(f"ellipse semi-axes: a = {_fmt(a)} (d1/d3), b = {_fmt(b)} (d2/d3)")
+        report["ellipse"] = {"a": a, "b": b}
+    doc = {"scenario": s.to_config(), "report": report}
     spec = sf.sweep
     if args.grid is not None:
-        nx, ny = args.grid
-        spec = dataclasses.replace(spec or GridSpec(), nx=nx, ny=ny)
-    return spec
-
-
-def _sweep_lines(region) -> list[str]:
-    spec = region.spec
-    return [
+        spec = dataclasses.replace(spec or GridSpec(), nx=args.grid[0], ny=args.grid[1])
+    csv_path = args.csv_path or (sf.output.csv if sf.output else None)
+    if spec is None:
+        if csv_path:
+            raise ValueError("csv output requires a sweep (add a sweep section or --grid)")
+        return lines, doc
+    region = sweep_fn(s, spec)
+    lines.append(
         f"advantageous area fraction = {_fmt(region.area_fraction)} "
         f"({spec.mode} grid {spec.nx}x{spec.ny})"
-    ]
-
-
-def _cmd_relay(sf: config.ScenarioFile, args) -> tuple[list[str], dict]:
-    s = sf.relay
-    v = _noted(relay_verdict, s)
-    lines = [
-        _energy_line("direct energy", v.e_direct, s.ctx.n0),
-        _energy_line("assisted energy", v.e_relayed, s.ctx.n0),
-        f"energy ratio (assisted/direct) = {_fmt(v.ratio)}",
-        f"verdict: {'use relay' if v.use_relay else 'use direct'}",
-        f"rule margin = {_fmt(v.decision_margin)}",
-    ]
-    report = dataclasses.asdict(v)
-    if s.alpha == 2.0:
-        a, b = ellipse_axes(s)
-        lines.append(f"ellipse semi-axes: a = {_fmt(a)} (d1/d3), b = {_fmt(b)} (d2/d3)")
-        report["ellipse"] = {"a": a, "b": b}
-    doc = {"scenario": s.to_config(), "report": report}
-    spec = _grid_for(sf, args)
-    if spec is not None:
-        region = sweep_relay(s, spec)
-        lines += _sweep_lines(region)
-        _write_region_outputs(region, sf, args, doc)
-    elif args.csv_path or (sf.output and sf.output.csv):
-        raise ValueError("csv output requires a sweep (add a sweep section or --grid)")
-    return lines, doc
-
-
-def _cmd_fwa(sf: config.ScenarioFile, args) -> tuple[list[str], dict]:
-    s = sf.fwa
-    v = _noted(fwa_verdict, s)
-    lines = [
-        f"traffic mix: rho_u = {_fmt(s.traffic.rho_u)}, rho_d = {_fmt(s.traffic.rho_d)}",
-        _energy_line("direct energy", v.e_direct, s.ctx.n0),
-        _energy_line("assisted energy", v.e_relayed, s.ctx.n0),
-        f"energy ratio (assisted/direct) = {_fmt(v.ratio)}",
-        f"verdict: {'use access point' if v.use_ap else 'use direct'}",
-        f"rule margin = {_fmt(v.decision_margin)}",
-    ]
-    report = dataclasses.asdict(v)
-    if s.alpha == 2.0:
-        a, b = fwa_ellipse_axes(s)
-        lines.append(f"ellipse semi-axes: a = {_fmt(a)} (d1/d3), b = {_fmt(b)} (d2/d3)")
-        report["ellipse"] = {"a": a, "b": b}
-    doc = {"scenario": s.to_config(), "report": report}
-    spec = _grid_for(sf, args)
-    if spec is not None:
-        region = sweep_fwa(s, spec)
-        lines += _sweep_lines(region)
-        _write_region_outputs(region, sf, args, doc)
-    elif args.csv_path or (sf.output and sf.output.csv):
-        raise ValueError("csv output requires a sweep (add a sweep section or --grid)")
-    return lines, doc
-
-
-def _write_region_outputs(region, sf: config.ScenarioFile, args, doc: dict) -> None:
+    )
     region_doc = region_json_doc(region)
     doc["region"] = {k: region_doc[k] for k in ("grid", "area_fraction", "mask")}
-    doc["report"]["area_fraction"] = region.area_fraction
-    csv_path = args.csv_path or (sf.output.csv if sf.output else None)
+    report["area_fraction"] = region.area_fraction
     if csv_path:
         write_region_csv(region, csv_path)
         print(f"wrote region CSV: {csv_path}", file=sys.stderr)
+    return lines, doc
 
 
 _COMMANDS = {
     "cascade": _cmd_cascade,
     "link": _cmd_link,
-    "relay": _cmd_relay,
-    "fwa": _cmd_fwa,
+    "relay": _cmd_two_hop,
+    "fwa": _cmd_two_hop,
 }
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .cascade import Cascade, Stage
 from .channel import PathLossChannel
-from .energy import EnergyContext, LinkTerminals
+from .energy import EnergyContext, LinkTerminals, _context_config
 from .fwa import FwaScenario, TrafficMix
 from .region import GridSpec
 from .relay import RelayScenario
@@ -68,11 +68,7 @@ class LinkSetup:
                     "g_rx": self.terminals.g_rx,
                 },
                 "channel": channel,
-                "energy": {
-                    "n0": self.ctx.n0,
-                    "capacity": self.ctx.capacity,
-                    "p_np": self.ctx.p_np,
-                },
+                "energy": _context_config(self.ctx),
             }
         }
 

@@ -92,6 +92,10 @@ class EnergyContext:
         _require("p_np", self.p_np, minimum=0.0)
 
 
+def _context_config(ctx: EnergyContext) -> dict:
+    return {"n0": ctx.n0, "capacity": ctx.capacity, "p_np": ctx.p_np}
+
+
 @dataclass(frozen=True)
 class LinkTerminals:
     """Transmit and receive terminal figures of a point-to-point link."""

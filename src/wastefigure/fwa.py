@@ -8,21 +8,22 @@ downlink see different hardware - each direction's hop waste pairs the
 transmitting node's waste factor with the receiving node's gain - so
 the energies are weighted by the traffic mix before comparing.
 
-With negligible non-path power the "access point saves energy" test is
-again closed-form in distances:
+The "access point saves energy" test is the relay rule of ``relay``
+with traffic-and-hardware coefficients:
 
-    d3**alpha > A * d1**alpha + B * d2**alpha
-
-with traffic-and-hardware coefficients
+    d3**alpha > A * d1**alpha + B * d2**alpha + C
 
     D = rho_u * w_tx_ue / g_rx_bs + rho_d * w_tx_bs / g_rx_ue
     A = (rho_u * w_tx_ue / g_rx_ap + rho_d * w_tx_bs / g_rx_ap) / D
     B = (rho_u * w_tx_ap / g_rx_bs + rho_d * w_tx_ap / g_rx_ue) / D
 
-At alpha = 2 the advantageous boundary is a quarter ellipse with
-semi-axes sqrt(1/A) and sqrt(1/B); pure uplink or pure downlink traffic
-reduces everything to the single-direction relay comparison with the
-corresponding role assignment.
+and C the non-path power term over D (zero when p_np = 0). The margin,
+the rule test, the ellipse axes and the sweeps are the relay module's,
+applied to this rule; the sweeps include C, scaled by the scenario's d3
+in normalized mode. At alpha = 2 the C = 0 advantageous boundary is a
+quarter ellipse with semi-axes sqrt(1/A) and sqrt(1/B); pure uplink or
+pure downlink traffic reduces everything to the single-direction relay
+comparison with the corresponding role assignment.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .energy import LN2, EnergyContext, _require
-from .relay import _fixed_power_term, _hop_waste
+from .energy import LN2, EnergyContext, _context_config, _require
+from .relay import Rule, _axes, _compare, _fixed_power_term, _hop_waste, _rule_holds
 
 __all__ = [
     "TrafficMix",
@@ -100,6 +101,13 @@ class FwaScenario:
         if not isinstance(self.ctx, EnergyContext):
             raise ValueError(f"ctx must be an EnergyContext, got {self.ctx!r}")
 
+    def _rule(self) -> Rule:
+        t = self.traffic
+        den = t.rho_u * self.w_tx_ue / self.g_rx_bs + t.rho_d * self.w_tx_bs / self.g_rx_ue
+        a_num = t.rho_u * self.w_tx_ue / self.g_rx_ap + t.rho_d * self.w_tx_bs / self.g_rx_ap
+        b_num = t.rho_u * self.w_tx_ap / self.g_rx_bs + t.rho_d * self.w_tx_ap / self.g_rx_ue
+        return Rule(a_num / den, b_num / den, _fixed_power_term(self.ctx, self.k, den))
+
     def to_config(self) -> dict:
         """Scenario as a config mapping (linear units, re-parseable)."""
         return {
@@ -116,11 +124,7 @@ class FwaScenario:
                 "d1": self.d1,
                 "d2": self.d2,
                 "d3": self.d3,
-                "energy": {
-                    "n0": self.ctx.n0,
-                    "capacity": self.ctx.capacity,
-                    "p_np": self.ctx.p_np,
-                },
+                "energy": _context_config(self.ctx),
             }
         }
 
@@ -159,33 +163,20 @@ def fwa_ratio(s: FwaScenario) -> float:
     return fwa_relayed_energy(s) / fwa_direct_energy(s)
 
 
-def _direct_weight(s: FwaScenario) -> float:
-    """D: traffic-weighted W_tx / G_rx of the direct route."""
-    return s.traffic.rho_u * s.w_tx_ue / s.g_rx_bs + s.traffic.rho_d * s.w_tx_bs / s.g_rx_ue
-
-
 def rule_coefficients(s: FwaScenario) -> tuple[float, float]:
     """Distance-rule coefficients (A, B) for the current traffic mix."""
-    den = _direct_weight(s)
-    a_num = s.traffic.rho_u * s.w_tx_ue / s.g_rx_ap + s.traffic.rho_d * s.w_tx_bs / s.g_rx_ap
-    b_num = s.traffic.rho_u * s.w_tx_ap / s.g_rx_bs + s.traffic.rho_d * s.w_tx_ap / s.g_rx_ue
-    return a_num / den, b_num / den
+    a, b, _ = s._rule()
+    return a, b
 
 
 def fwa_decision_holds(s: FwaScenario) -> bool:
     """Closed-form test (negligible non-path power): does the AP save energy."""
-    a, b = rule_coefficients(s)
-    return s.d3**s.alpha > a * s.d1**s.alpha + b * s.d2**s.alpha
+    return _rule_holds(s, include_c=False)
 
 
 def fwa_ellipse_axes(s: FwaScenario) -> tuple[float, float]:
     """Semi-axes of the advantageous-region boundary at alpha = 2."""
-    if s.alpha != 2.0:
-        raise ValueError(
-            f"the advantageous region is an ellipse only at alpha = 2, got {s.alpha!r}"
-        )
-    a, b = rule_coefficients(s)
-    return math.sqrt(1.0 / a), math.sqrt(1.0 / b)
+    return _axes(s)
 
 
 def fwa_verdict(s: FwaScenario) -> FwaVerdict:
@@ -194,19 +185,4 @@ def fwa_verdict(s: FwaScenario) -> FwaVerdict:
     The margin includes the non-path power term, so its sign follows the
     decision.
     """
-    e3 = fwa_direct_energy(s)
-    e12 = fwa_relayed_energy(s)
-    ratio = e12 / e3
-    a, b = rule_coefficients(s)
-    margin = (
-        s.d3**s.alpha
-        - (a * s.d1**s.alpha + b * s.d2**s.alpha)
-        - _fixed_power_term(s.ctx, s.k, _direct_weight(s))
-    )
-    return FwaVerdict(
-        e_direct=e3,
-        e_relayed=e12,
-        ratio=ratio,
-        use_ap=ratio < 1.0,
-        decision_margin=margin,
-    )
+    return FwaVerdict(*_compare(s, fwa_direct_energy(s), fwa_relayed_energy(s)))

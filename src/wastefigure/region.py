@@ -1,25 +1,28 @@
 """Feasibility-region sweeps: where does assisted routing save energy.
 
-Evaluates the closed-form distance rules of the relay and FWA
-comparisons over a grid and reports the advantageous set as a boolean
-mask. Two grid modes:
+Evaluates the relay and FWA scenarios' two-hop rule
+``d3**alpha > A*d1**alpha + B*d2**alpha + C`` (``relay.Rule``, the same
+rule their verdicts follow, non-path power term C included) over a grid
+and reports the advantageous set as a boolean mask. Two grid modes:
 
-* ``normalized``: coordinates are (d1/d3, d2/d3) with the direct
-  distance fixed at 1; axes must be non-negative.
+* ``normalized``: coordinates are (d1/d3, d2/d3) and the rule is divided
+  by d3**alpha, so C enters as C / d3**alpha with the scenario's own d3;
+  axes must be non-negative.
 * ``planar``: coordinates are candidate relay positions in the plane,
-  source at the origin, sink at (d3, 0); d1 and d2 are Euclidean
-  distances to the grid point.
+  source at the origin, sink at (d3, 0) with the grid's d3; d1 and d2
+  are Euclidean distances to the grid point.
 
 Membership uses the strict inequality, so boundary points (where the
 two routes tie) count as not advantageous.
 
 For a fixed grid row x the rule's right-hand side never decreases as
 |y| grows (both coefficients are positive, and d1 and d2 grow with
-|y|), so a row's advantageous cells form one contiguous interval around
-y = 0. Sweeps find each row's two interval ends by bisection over all
-rows at once and build the mask from the resulting runs. The bisection
-evaluates the same elementwise expression as a full-grid evaluation,
-but at O(nx log ny) points instead of nx * ny, so masks are unchanged.
+|y|) and its left-hand side is one constant per grid, so a row's
+advantageous cells form one contiguous interval around y = 0. Sweeps
+find each row's two interval ends by bisection over all rows at once
+and build the mask from the resulting runs. The bisection evaluates the
+same elementwise expression as a full-grid evaluation, but at
+O(nx log ny) points instead of nx * ny, so masks are unchanged.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fwa import FwaScenario, rule_coefficients
+from .fwa import FwaScenario
 from .relay import RelayScenario
 
 __all__ = [
@@ -57,7 +60,7 @@ class GridSpec:
     y_range: tuple[float, float] = (0.0, 1.5)
     nx: int = 201
     ny: int = 201
-    d3: float = 1.0  # direct source-sink distance; used by planar mode only
+    d3: float = 1.0  # planar mode only; normalized mode scales C by the scenario's d3
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
@@ -130,24 +133,37 @@ def _first_true(pred, nrows: int, start: int, stop: int) -> np.ndarray:
         lo[rows[~t]] = mid[~t] + 1
 
 
-def _rule_mask(spec: GridSpec, alpha: float, a: float, b: float) -> np.ndarray:
+def _rule_mask(spec: GridSpec, s: RelayScenario | FwaScenario) -> np.ndarray:
+    a, b, c = s._rule()
+    alpha = s.alpha
+    planar = spec.mode == "planar"
+    d3 = spec.d3 if planar else s.d3
+    try:
+        d3_alpha = d3**alpha
+    except OverflowError:
+        d3_alpha = math.inf
+    if (planar or c != 0.0) and not 0.0 < d3_alpha < math.inf:
+        raise ValueError(f"sweep: d3**alpha = {d3!r}**{alpha!r} is outside the float range")
+    # the rule's left-hand side, divided by d3**alpha in normalized mode
+    lhs = d3_alpha if planar else 1.0
+    if c != 0.0:
+        lhs -= c if planar else c / d3_alpha
     xs = spec.x_points()
     ys = spec.y_points()
 
     def holds(rows: np.ndarray, js: np.ndarray) -> np.ndarray:
-        x, y = xs[rows], ys[js]
-        if spec.mode == "normalized":
-            d1, d2, lhs = x, y, 1.0
-        else:
-            d1 = np.hypot(x, y)
-            d2 = np.hypot(x - spec.d3, y)
-            lhs = spec.d3**alpha
+        d1, d2 = xs[rows], ys[js]
+        if planar:
+            d1, d2 = np.hypot(d1, d2), np.hypot(d1 - spec.d3, d2)
         return lhs > a * d1**alpha + b * d2**alpha
 
-    # members are a prefix of the y >= 0 half and a suffix of the y < 0 half
+    # members are a prefix of the y >= 0 half and a suffix of the y < 0 half;
+    # a right-hand side that overflows to inf exceeds the finite lhs, which
+    # is the exact answer, so numpy's overflow warning is silenced
     j0 = int(np.searchsorted(ys, 0.0))
-    his = _first_true(lambda rows, js: ~holds(rows, js), spec.nx, j0, spec.ny)
-    los = _first_true(holds, spec.nx, 0, j0)
+    with np.errstate(over="ignore"):
+        his = _first_true(lambda rows, js: ~holds(rows, js), spec.nx, j0, spec.ny)
+        los = _first_true(holds, spec.nx, 0, j0)
     # x-major runs: lo cells out, hi - lo cells in, ny - hi cells out per row
     runs = np.stack([los, his - los, spec.ny - his], axis=1).ravel()
     cells = np.tile(np.array([False, True, False]), spec.nx)
@@ -165,26 +181,25 @@ def _finish(spec: GridSpec, mask: np.ndarray, scenario) -> FeasibilityRegion:
 
 
 def sweep_relay(s: RelayScenario, spec: GridSpec, workers: int = 1) -> FeasibilityRegion:
-    """Sweep the relay distance rule (negligible non-path power form).
+    """Sweep the relay distance rule, non-path power term included.
 
-    The scenario's stored d1/d2/d3 are not used: each grid point implies
+    The scenario's stored d1/d2 are not used: each grid point implies
     its own geometry (normalized ratios, or planar positions with the
-    grid's d3). Each grid row's advantageous cells are one interval whose
-    ends are found by bisection. ``workers`` is accepted and ignored; it
-    is kept only so that existing callers keep working.
+    grid's d3). In normalized mode the scenario's d3 scales the non-path
+    power term, so the scenario's own point lands on its own verdict.
+    Each grid row's advantageous cells are one interval whose ends are
+    found by bisection. ``workers`` is accepted and ignored; it is kept
+    only so that existing callers keep working.
     """
-    a = s.g_rx_sink / s.g_rx_relay
-    b = s.w_tx_relay / s.w_tx_source
-    return _finish(spec, _rule_mask(spec, s.alpha, a, b), s)
+    return _finish(spec, _rule_mask(spec, s), s)
 
 
 def sweep_fwa(s: FwaScenario, spec: GridSpec, workers: int = 1) -> FeasibilityRegion:
     """Sweep the FWA distance rule; coefficients follow the traffic mix.
 
-    Same interval kernel as ``sweep_relay``; ``workers`` is ignored.
+    Same rule and kernel as ``sweep_relay``; ``workers`` is ignored.
     """
-    a, b = rule_coefficients(s)
-    return _finish(spec, _rule_mask(spec, s.alpha, a, b), s)
+    return _finish(spec, _rule_mask(spec, s), s)
 
 
 def region_subset(inner: FeasibilityRegion, outer: FeasibilityRegion) -> bool:

@@ -10,23 +10,28 @@ path is long or the relay hardware is favorable.
 
 In the wide-coverage regime each hop's waste factor collapses to
 ``W_tx / (G_rx * G_hop)``, which turns "relaying uses less energy per
-bit" into a closed-form test on distances and hardware ratios alone
-when non-path power is negligible:
+bit" into a closed-form test on distances and hardware ratios:
 
-    d3**alpha > (g_rx_sink / g_rx_relay) * d1**alpha
-                + (w_tx_relay / w_tx_source) * d2**alpha
+    d3**alpha > A * d1**alpha + B * d2**alpha + C
 
-At alpha = 2 the boundary of the advantageous set in normalized
+with ``A = g_rx_sink / g_rx_relay``, ``B = w_tx_relay / w_tx_source`` and
+C the non-path power term (zero when p_np = 0). FWA builds the same
+``Rule`` with traffic-weighted A, B and C; margin, rule test, ellipse
+axes and sweeps (``region``) derive from it for both kinds. The sweeps
+apply C too; normalized ones as C / d3**alpha with the scenario's d3.
+
+At alpha = 2 the boundary of the C = 0 advantageous set in normalized
 (d1/d3, d2/d3) coordinates is a quarter ellipse with semi-axes
-``sqrt(g_rx_relay / g_rx_sink)`` and ``sqrt(w_tx_source / w_tx_relay)``.
+``sqrt(1 / A)`` and ``sqrt(1 / B)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .energy import LN2, EnergyContext, _check_regime, _require
+from .energy import LN2, EnergyContext, _check_regime, _context_config, _require
 
 __all__ = [
     "RelayScenario",
@@ -69,6 +74,13 @@ class RelayScenario:
         if not isinstance(self.ctx, EnergyContext):
             raise ValueError(f"ctx must be an EnergyContext, got {self.ctx!r}")
 
+    def _rule(self) -> Rule:
+        return Rule(
+            self.g_rx_sink / self.g_rx_relay,
+            self.w_tx_relay / self.w_tx_source,
+            _fixed_power_term(self.ctx, self.k, self.w_tx_source / self.g_rx_sink),
+        )
+
     def to_config(self) -> dict:
         """Scenario as a config mapping (linear units, re-parseable)."""
         return {
@@ -82,11 +94,7 @@ class RelayScenario:
                 "d1": self.d1,
                 "d2": self.d2,
                 "d3": self.d3,
-                "energy": {
-                    "n0": self.ctx.n0,
-                    "capacity": self.ctx.capacity,
-                    "p_np": self.ctx.p_np,
-                },
+                "energy": _context_config(self.ctx),
             }
         }
 
@@ -118,6 +126,44 @@ def _hop_waste(w_tx: float, g_rx: float, d: float, alpha: float, k: float, hop: 
         )
     _check_regime(g_rx * g_hop, hop)
     return waste
+
+
+class Rule(NamedTuple):
+    """Two-hop distance rule: assisted wins iff d3**alpha > a*d1**alpha + b*d2**alpha + c."""
+
+    a: float
+    b: float
+    c: float
+
+
+def _rule_holds(s, include_c: bool) -> bool:
+    """The rule test at the scenario's own distances, with or without c."""
+    a, b, c = s._rule()
+    return s.d3**s.alpha > a * s.d1**s.alpha + b * s.d2**s.alpha + (c if include_c else 0.0)
+
+
+def _axes(s) -> tuple[float, float]:
+    """Semi-axes sqrt(1/a), sqrt(1/b) of the c = 0 boundary at alpha = 2."""
+    if s.alpha != 2.0:
+        raise ValueError(
+            f"the advantageous region is an ellipse only at alpha = 2, got {s.alpha!r}"
+        )
+    a, b, _ = s._rule()
+    axes = tuple(math.sqrt(1.0 / w) if w > 0.0 else math.inf for w in (a, b))
+    if math.inf in axes:
+        raise ValueError(
+            f"ellipse axes: sqrt(1/A), sqrt(1/B) with A = {a!r}, B = {b!r} "
+            "are outside the float range"
+        )
+    return axes
+
+
+def _compare(s, e3: float, e12: float) -> tuple:
+    """Verdict fields (e_direct, e_relayed, ratio, assisted wins, rule margin)."""
+    a, b, c = s._rule()
+    ratio = e12 / e3
+    margin = s.d3**s.alpha - (a * s.d1**s.alpha + b * s.d2**s.alpha) - c
+    return e3, e12, ratio, ratio < 1.0, margin
 
 
 def _fixed_power_term(ctx: EnergyContext, k: float, den: float) -> float:
@@ -157,13 +203,7 @@ def decision_rule_holds(s: RelayScenario, include_pnp: bool = False) -> bool:
     fixed-cost term enters, scaled by the channel constant so the test
     stays exactly equivalent to relay_ratio < 1 for any k.
     """
-    rhs = (
-        (s.g_rx_sink / s.g_rx_relay) * s.d1**s.alpha
-        + (s.w_tx_relay / s.w_tx_source) * s.d2**s.alpha
-    )
-    if include_pnp:
-        rhs += _fixed_power_term(s.ctx, s.k, s.w_tx_source / s.g_rx_sink)
-    return s.d3**s.alpha > rhs
+    return _rule_holds(s, include_pnp)
 
 
 def ellipse_axes(s: RelayScenario) -> tuple[float, float]:
@@ -171,14 +211,7 @@ def ellipse_axes(s: RelayScenario) -> tuple[float, float]:
 
     Coordinates are normalized distances: a along d1/d3, b along d2/d3.
     """
-    if s.alpha != 2.0:
-        raise ValueError(
-            f"the advantageous region is an ellipse only at alpha = 2, got {s.alpha!r}"
-        )
-    return (
-        math.sqrt(s.g_rx_relay / s.g_rx_sink),
-        math.sqrt(s.w_tx_source / s.w_tx_relay),
-    )
+    return _axes(s)
 
 
 def relay_verdict(s: RelayScenario) -> RelayVerdict:
@@ -187,17 +220,4 @@ def relay_verdict(s: RelayScenario) -> RelayVerdict:
     The margin is the distance rule with its non-path power term, so its
     sign follows the decision.
     """
-    e3 = direct_energy(s)
-    e12 = relayed_energy(s)
-    ratio = e12 / e3
-    margin = s.d3**s.alpha - (
-        (s.g_rx_sink / s.g_rx_relay) * s.d1**s.alpha
-        + (s.w_tx_relay / s.w_tx_source) * s.d2**s.alpha
-    ) - _fixed_power_term(s.ctx, s.k, s.w_tx_source / s.g_rx_sink)
-    return RelayVerdict(
-        e_direct=e3,
-        e_relayed=e12,
-        ratio=ratio,
-        use_relay=ratio < 1.0,
-        decision_margin=margin,
-    )
+    return RelayVerdict(*_compare(s, direct_energy(s), relayed_energy(s)))

@@ -600,3 +600,32 @@ class TestShippedScenarios:
         code, out, _ = run(capsys, kind, str(path))
         assert code == 0
         assert out
+
+
+class TestSweepFloatRange:
+    """Sweeps whose powers leave the float range end in a report or a named error."""
+
+    def run_cli(self, scenario, sweep):
+        doc = {"relay_scenario": RELAY_BODY, "sweep": sweep}
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        return subprocess.run(
+            [sys.executable, "-m", "wastefigure.cli", "relay", scenario(doc)],
+            capture_output=True, text=True, env=env,
+        )
+
+    @pytest.mark.parametrize("d3", [1e200, 1e-200])
+    def test_planar_d3_power_outside_float_range_exits_1(self, scenario, d3):
+        proc = self.run_cli(scenario, {"mode": "planar", "d3": d3})
+        assert proc.returncode == 1
+        # regime notes from the scalar verdict come first; the error is last
+        assert proc.stderr.splitlines()[-1].startswith("error: sweep: d3**alpha = ")
+        assert "outside the float range" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_range_overflowing_the_rule_reports_without_numpy_warning(self, scenario):
+        proc = self.run_cli(scenario, {"x_range": [0, 1e200], "nx": 51, "ny": 51})
+        assert proc.returncode == 0
+        assert "RuntimeWarning" not in proc.stderr
+        assert "advantageous area fraction = 0.01153 (normalized grid 51x51)" in proc.stdout

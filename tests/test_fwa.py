@@ -318,3 +318,16 @@ class TestValidation:
                 traffic=TrafficMix.from_uplink(0.5),
                 alpha=4.0, d1=0.4, d2=0.0, d3=1.0, ctx=CTX0, **HW,
             )
+
+
+class TestUnrepresentableEllipse:
+    def test_zero_coefficient_named(self):
+        # A underflows to 0: 1/A would divide by zero
+        hw = dict(HW, g_rx_ap=1e200, g_rx_bs=1e-200, g_rx_ue=1e-200)
+        s = FwaScenario(
+            traffic=TrafficMix.from_uplink(0.5),
+            alpha=2.0, d1=0.4, d2=0.5, d3=1.0, ctx=CTX0, **hw,
+        )
+        assert rule_coefficients(s)[0] == 0.0
+        with pytest.raises(ValueError, match=r"^ellipse axes: .* outside the float range"):
+            fwa_ellipse_axes(s)

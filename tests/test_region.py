@@ -1,5 +1,8 @@
+import dataclasses
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +15,10 @@ from wastefigure import (
     GridSpec,
     RelayScenario,
     TrafficMix,
+    fwa_verdict,
     region_json_doc,
     region_subset,
+    relay_verdict,
     rle_decode,
     rule_coefficients,
     sweep_fwa,
@@ -21,6 +26,7 @@ from wastefigure import (
     write_region_csv,
     write_region_json,
 )
+from wastefigure.config import load_scenario
 
 CTX0 = EnergyContext(n0=1e-20, capacity=1e8, p_np=0.0)
 
@@ -476,3 +482,94 @@ class TestJson:
         first, runs = _rle_encode(arr.ravel())
         assert sum(runs) == arr.size
         assert np.array_equal(rle_decode(first, runs, (2, 2)), arr)
+
+
+def verdict_disagreements(s, spec, cells):
+    """Cells (i, j) whose sweep mask differs from the scalar verdict there.
+
+    Each cell's geometry is the one the sweep implies: normalized ratios
+    scaled by the scenario's d3, or planar positions with the grid's d3.
+    Cells on a near-tie (|ratio - 1| < 1e-9) or at a zero distance are
+    skipped.
+    """
+    if isinstance(s, RelayScenario):
+        sweep, verdict, use = sweep_relay, relay_verdict, "use_relay"
+    else:
+        sweep, verdict, use = sweep_fwa, fwa_verdict, "use_ap"
+    mask = sweep(s, spec).mask
+    xs, ys = spec.x_points(), spec.y_points()
+    bad = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for i, j in cells:
+            x, y = float(xs[i]), float(ys[j])
+            if spec.mode == "normalized":
+                geometry = dict(d1=x * s.d3, d2=y * s.d3)
+            else:
+                geometry = dict(d1=math.hypot(x, y), d2=math.hypot(x - spec.d3, y), d3=spec.d3)
+            if min(geometry["d1"], geometry["d2"]) == 0.0:
+                continue
+            v = verdict(dataclasses.replace(s, **geometry))
+            if abs(v.ratio - 1.0) >= 1e-9 and bool(mask[i, j]) != getattr(v, use):
+                bad.append((i, j))
+    return bad
+
+
+def log_uniform(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0**e)
+
+
+class TestSweepFollowsVerdict:
+    """The sweeps apply the verdict's full rule, non-path power term included."""
+
+    @pytest.mark.parametrize("mode", ["normalized", "planar"])
+    def test_relay_demo_with_non_path_power(self, mode):
+        path = Path(__file__).resolve().parent.parent / "scenarios" / "relay.json"
+        s = load_scenario(path).relay
+        s = dataclasses.replace(s, ctx=dataclasses.replace(s.ctx, p_np=1e-9))
+        if mode == "normalized":
+            spec = GridSpec(nx=51, ny=51)
+        else:
+            spec = GridSpec.planar_around(s.d3, nx=51, ny=51)
+        cells = [(i, j) for i in range(51) for j in range(51)]
+        assert verdict_disagreements(s, spec, cells) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mask_equals_verdict_at_random_cells(self, data):
+        ctx = EnergyContext(
+            n0=1e-20,
+            capacity=1e8,
+            p_np=data.draw(st.one_of(st.just(0.0), log_uniform(-14.0, -6.0))),
+        )
+        common = dict(
+            alpha=data.draw(st.floats(min_value=1.0, max_value=6.0)),
+            d1=0.5,
+            d2=0.5,
+            d3=data.draw(log_uniform(-1.0, 2.0)),
+            ctx=ctx,
+            k=data.draw(log_uniform(-2.0, 1.0)),
+        )
+        waste, gain = log_uniform(0.0, 2.0), log_uniform(0.0, 4.0)
+        if data.draw(st.booleans()):
+            s = RelayScenario(
+                w_tx_source=data.draw(waste), w_tx_relay=data.draw(waste),
+                g_rx_relay=data.draw(gain), g_rx_sink=data.draw(gain), **common,
+            )
+        else:
+            s = FwaScenario(
+                w_tx_ue=data.draw(waste), w_tx_bs=data.draw(waste), w_tx_ap=data.draw(waste),
+                g_rx_ue=data.draw(gain), g_rx_bs=data.draw(gain), g_rx_ap=data.draw(gain),
+                traffic=TrafficMix.from_uplink(data.draw(st.floats(min_value=0.0, max_value=1.0))),
+                **common,
+            )
+        nx = data.draw(st.integers(min_value=3, max_value=80))
+        ny = data.draw(st.integers(min_value=3, max_value=80))
+        if data.draw(st.booleans()):
+            hi = st.floats(min_value=0.2, max_value=3.0)
+            spec = GridSpec(x_range=(0.0, data.draw(hi)), y_range=(0.0, data.draw(hi)), nx=nx, ny=ny)
+        else:
+            spec = GridSpec.planar_around(data.draw(log_uniform(-1.0, 2.0)), nx=nx, ny=ny)
+        cell = st.tuples(st.integers(1, nx - 2), st.integers(1, ny - 2))
+        cells = data.draw(st.lists(cell, min_size=1, max_size=30))
+        assert verdict_disagreements(s, spec, cells) == []

@@ -308,3 +308,16 @@ class TestValidation:
                 w_tx_source=1.0, w_tx_relay=2.0, g_rx_relay=1e3, g_rx_sink=10.0,
                 alpha=6.0, d1=0.5, d2=0.5, d3=1.0, ctx={"n0": 1e-20},
             )
+
+
+class TestUnrepresentableEllipse:
+    # A = g_rx_sink / g_rx_relay = 1e-320 is subnormal, so sqrt(1/A) is not
+    # a finite float although the verdict itself is representable
+    def test_named_value_error(self):
+        s = RelayScenario(
+            w_tx_source=1.0, w_tx_relay=2.0, g_rx_relay=1e160, g_rx_sink=1e-160,
+            alpha=2.0, d1=0.5, d2=0.5, d3=1.0, ctx=CTX0,
+        )
+        assert relay_verdict(s).use_relay
+        with pytest.raises(ValueError, match=r"^ellipse axes: .* outside the float range"):
+            ellipse_axes(s)
