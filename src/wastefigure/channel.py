@@ -35,7 +35,7 @@ class PathLossChannel:
                 raise ValueError(
                     f"channel {name} must be positive and finite, got {v!r}"
                 )
-        if self.k / self.distance**self.alpha > 1.0:
+        if self.gain() > 1.0:
             raise ValueError(
                 "channel gain k/d**alpha exceeds 1; the model describes "
                 f"attenuation only (k={self.k!r}, alpha={self.alpha!r}, "
@@ -43,7 +43,13 @@ class PathLossChannel:
             )
 
     def gain(self) -> float:
-        return self.k / self.distance**self.alpha
+        try:
+            return self.k / self.distance**self.alpha
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError(
+                f"channel: distance**alpha = {self.distance!r}**{self.alpha!r} "
+                "is outside the float range"
+            ) from None
 
     def waste(self) -> float:
         return 1.0 / self.gain()

@@ -9,16 +9,23 @@ value under its bare name or a decibel value under the same name with
 an ``_db`` suffix (power convention, waste figures included), never
 both. Everything is converted to linear on parse; echoes emit linear
 fields so a re-parsed echo reproduces the scenario exactly.
+
+The field tables (``_ENERGY``, ``_TERMINALS``, ``_PATH_LOSS``, ``_LINK``,
+``_RELAY``, ``_FWA``, ``_OUTPUT``) are the one list of each section's
+accepted fields, spellings and defaults. Their rows drive parsing, the
+unknown-key check and the echo, in echo order.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .cascade import Cascade, Stage
 from .channel import PathLossChannel
-from .energy import EnergyContext, LinkTerminals, _context_config
+from .energy import EnergyContext, LinkTerminals
 from .fwa import FwaScenario, TrafficMix
 from .region import GridSpec
 from .relay import RelayScenario
@@ -33,14 +40,6 @@ __all__ = [
     "cascade_to_config",
 ]
 
-_SECTIONS = ("cascade", "link", "relay_scenario", "fwa_scenario")
-_KIND_BY_SECTION = {
-    "cascade": "cascade",
-    "link": "link",
-    "relay_scenario": "relay",
-    "fwa_scenario": "fwa",
-}
-
 
 @dataclass(frozen=True)
 class LinkSetup:
@@ -52,25 +51,7 @@ class LinkSetup:
     channel: PathLossChannel | None  # present when given as k/alpha/distance
 
     def to_config(self) -> dict:
-        if self.channel is not None:
-            channel = {
-                "k": self.channel.k,
-                "alpha": self.channel.alpha,
-                "distance": self.channel.distance,
-            }
-        else:
-            channel = {"gain": self.g_ch}
-        return {
-            "link": {
-                "terminals": {
-                    "w_tx": self.terminals.w_tx,
-                    "w_rx": self.terminals.w_rx,
-                    "g_rx": self.terminals.g_rx,
-                },
-                "channel": channel,
-                "energy": _context_config(self.ctx),
-            }
-        }
+        return {"link": _LINK.config(self)}
 
 
 @dataclass(frozen=True)
@@ -94,28 +75,35 @@ class ScenarioFile:
     output: OutputSpec | None = None
 
 
-def _check_keys(section: dict, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
+def _mapping(value, allowed, where: str) -> dict:
+    """``value`` as a section: an object with no keys outside ``allowed``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where}: expected an object, got {value!r}")
+    unknown = set(value) - allowed
     if unknown:
         raise ValueError(
             f"{where}: unknown field(s) {sorted(unknown)}; allowed: {sorted(allowed)}"
         )
+    return value
 
 
-def _num(section: dict, key: str, where: str) -> float:
+def _absent(default, where: str, what: str):
+    """The default of a missing field; None marks a required one."""
+    if default is None:
+        raise ValueError(f"{where}: missing required {what}")
+    return default
+
+
+def _num(section: dict, key: str, where: str, default=None) -> float:
+    if key not in section:
+        return _absent(default, where, f"field {key}")
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{where}.{key}: expected a number, got {value!r}")
     return float(value)
 
 
-def _require_num(section: dict, key: str, where: str) -> float:
-    if key not in section:
-        raise ValueError(f"{where}: missing required field {key}")
-    return _num(section, key, where)
-
-
-def _ratio(section: dict, key: str, where: str, required: bool = True) -> float | None:
+def _ratio(section: dict, key: str, where: str, default=None) -> float:
     """Fetch a ratio given linearly (``key``) or in dB (``key_db``)."""
     has_lin = key in section
     has_db = f"{key}_db" in section
@@ -125,20 +113,10 @@ def _ratio(section: dict, key: str, where: str, required: bool = True) -> float 
         return _num(section, key, where)
     if has_db:
         return db_to_linear(_num(section, f"{key}_db", where))
-    if required:
-        raise ValueError(f"{where}: missing required field {key} (or {key}_db)")
-    return None
+    return _absent(default, where, f"field {key} (or {key}_db)")
 
 
-def _require_mapping(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{where}: expected an object, got {value!r}")
-    return value
-
-
-def _shared_direction_value(
-    section: dict, base: str, where: str, default: float | None
-) -> float:
+def _shared_direction_value(section: dict, base: str, where: str, default) -> float:
     """Resolve a value that may be given shared or per direction.
 
     Per-direction fields are accepted for compatibility with layouts
@@ -147,54 +125,141 @@ def _shared_direction_value(
     """
     up, down = f"{base}_uplink", f"{base}_downlink"
     shared = _num(section, base, where) if base in section else None
-    if up in section or down in section:
-        if not (up in section and down in section):
-            raise ValueError(f"{where}: give both {up} and {down}, or just {base}")
-        v_up = _num(section, up, where)
-        v_down = _num(section, down, where)
-        if v_up != v_down:
-            raise ValueError(
-                f"{where}: {up} and {down} must be equal (the energy comparison "
-                f"assumes shared values), got {v_up!r} and {v_down!r}"
-            )
-        if shared is not None and shared != v_up:
-            raise ValueError(f"{where}: {base} disagrees with its per-direction fields")
-        return v_up
-    if shared is None:
-        if default is None:
-            raise ValueError(f"{where}: missing required field {base}")
-        return default
-    return shared
+    if up not in section and down not in section:
+        return _absent(default, where, f"field {base}") if shared is None else shared
+    if up not in section or down not in section:
+        raise ValueError(f"{where}: give both {up} and {down}, or just {base}")
+    v_up = _num(section, up, where)
+    v_down = _num(section, down, where)
+    if v_up != v_down:
+        raise ValueError(
+            f"{where}: {up} and {down} must be equal (the energy comparison "
+            f"assumes shared values), got {v_up!r} and {v_down!r}"
+        )
+    if shared is not None and shared != v_up:
+        raise ValueError(f"{where}: {base} disagrees with its per-direction fields")
+    return v_up
 
 
-def _parse_energy(section, where: str) -> EnergyContext:
-    section = _require_mapping(section, where)
-    _check_keys(
-        section,
-        {
-            "n0",
-            "capacity",
-            "p_np",
-            "capacity_uplink",
-            "capacity_downlink",
-            "p_np_uplink",
-            "p_np_downlink",
-        },
-        where,
-    )
-    if "n0" not in section:
-        raise ValueError(f"{where}: missing required field n0")
-    return EnergyContext(
-        n0=_num(section, "n0", where),
-        capacity=_shared_direction_value(section, "capacity", where, default=None),
-        p_np=_shared_direction_value(section, "p_np", where, default=0.0),
-    )
+def _read_path(section: dict, key: str, where: str, default) -> str | None:
+    """An optional path: None when absent."""
+    value = section.get(key)
+    if key in section and not isinstance(value, str):
+        raise ValueError(f"{where}.{key}: expected a path string, got {value!r}")
+    return value
+
+
+def _read_channel(section: dict, key: str, where: str, default) -> tuple:
+    """A link's ``(g_ch, channel)``, from either channel form."""
+    if key not in section:
+        return _absent(default, where, f"section {key}")
+    where = f"{where}.{key}"
+    section = _mapping(section[key], {"k", "alpha", "distance", "gain", "gain_db"}, where)
+    path_loss_keys = {"k", "alpha", "distance"} & set(section)
+    gain_keys = {"gain", "gain_db"} & set(section)
+    if path_loss_keys and gain_keys:
+        raise ValueError(
+            f"{where}: give either k/alpha/distance or gain, not both "
+            f"({sorted(path_loss_keys | gain_keys)})"
+        )
+    if gain_keys:
+        gain = _ratio(section, "gain", where)
+        if not 0.0 < gain <= 1.0:
+            raise ValueError(f"{where}: channel gain must be in (0, 1], got {gain!r}")
+        return gain, None
+    if path_loss_keys != {"k", "alpha", "distance"}:
+        raise ValueError(f"{where}: path-loss form needs k, alpha and distance")
+    ch = _PATH_LOSS.record(section, where)
+    return ch.gain(), ch
+
+
+def _channel_echo(setup: LinkSetup, attr: str) -> dict:
+    return {"gain": setup.g_ch} if setup.channel is None else _PATH_LOSS.config(setup.channel)
+
+
+class _Reader(NamedTuple):
+    """How a table row reads its key, which spellings it has and how it echoes."""
+
+    read: Callable  # (section, key, where, default) -> value
+    suffixes: tuple[str, ...] = ("",)
+    echo: Callable = getattr  # (record, attr) -> echoed value
+
+
+class _Table:
+    """A section's field table, rows ``(key, reader[, default[, attr]])`` in echo order.
+
+    ``default`` is None (the field is required) and ``attr`` the key when left
+    out. ``record`` parses a section, ``config`` echoes a record, and the table
+    is also the reader of its section when nested.
+    """
+
+    suffixes = ("",)
+
+    def __init__(self, cls, *rows, noun: str = "section"):
+        rows = [row + (None, row[0])[len(row) - 2 :] for row in rows]
+        self.noun = noun
+        self.allowed = frozenset(key + s for key, reader, *_ in rows for s in reader.suffixes)
+        # compiled to one constructor call and one dict display: row loops took twice as long
+        env = {"cls": cls}
+        for i, (key, reader, default, attr) in enumerate(rows):
+            env.update({f"r{i}": reader.read, f"d{i}": default, f"e{i}": reader.echo})
+        build = ", ".join(f"{a}=r{i}(s, {k!r}, w, d{i})" for i, (k, _, _, a) in enumerate(rows))
+        echo = ", ".join(f"{k!r}: x.{a}" if r.echo is getattr else f"{k!r}: e{i}(x, {a!r})"
+                         for i, (k, r, _, a) in enumerate(rows))
+        self.build = eval(f"lambda s, w: cls({build})", env)
+        self.config = eval(f"lambda x: {{{echo}}}", env)
+
+    def record(self, section, where: str):
+        return self.build(_mapping(section, self.allowed, where), where)
+
+    def read(self, section: dict, key: str, where: str, default):
+        if key not in section:
+            return _absent(default, where, f"{self.noun} {key}")
+        return self.record(section[key], f"{where}.{key}")
+
+    def echo(self, record, attr: str) -> dict:
+        return self.config(getattr(record, attr))
+
+
+_NUM = _Reader(_num)
+_RATIO = _Reader(_ratio, ("", "_db"))
+_SHARED = _Reader(_shared_direction_value, ("", "_uplink", "_downlink"))
+_PATH = _Reader(_read_path)
+_UPLINK = _Reader(lambda *a: TrafficMix.from_uplink(_num(*a)), echo=lambda s, _: s.traffic.rho_u)
+
+_PATH_LOSS = _Table(PathLossChannel, ("k", _NUM), ("alpha", _NUM), ("distance", _NUM))
+_ENERGY_ROWS = (("n0", _NUM), ("capacity", _SHARED), ("p_np", _SHARED, 0.0))
+_ENERGY = _Table(EnergyContext, *_ENERGY_ROWS)
+_TERMINALS = _Table(LinkTerminals, ("w_tx", _RATIO), ("w_rx", _RATIO), ("g_rx", _RATIO))
+_LINK = _Table(
+    lambda terminals, channel, ctx: LinkSetup(ctx, terminals, *channel),
+    ("terminals", _TERMINALS),
+    ("channel", _Reader(_read_channel, echo=_channel_echo)),
+    ("energy", _ENERGY, None, "ctx"),
+)
+# the two-hop geometry, after the relay's or the FWA layout's hardware rows
+_GEOMETRY = (("alpha", _NUM), ("k", _NUM, 1.0), ("d1", _NUM), ("d2", _NUM), ("d3", _NUM))
+_RELAY = _Table(
+    RelayScenario,
+    ("w_tx_source", _RATIO), ("w_tx_relay", _RATIO), ("g_rx_relay", _RATIO), ("g_rx_sink", _RATIO),
+    *_GEOMETRY,
+    ("energy", _ENERGY, None, "ctx"),
+)
+_FWA = _Table(
+    FwaScenario,
+    ("w_tx_ue", _RATIO), ("w_tx_bs", _RATIO), ("w_tx_ap", _RATIO),
+    ("g_rx_ue", _RATIO), ("g_rx_bs", _RATIO), ("g_rx_ap", _RATIO),
+    ("rho_u", _UPLINK, None, "traffic"),
+    *_GEOMETRY,
+    # FWA files have always called a missing energy section a field
+    ("energy", _Table(EnergyContext, *_ENERGY_ROWS, noun="field"), None, "ctx"),
+)
+_OUTPUT = _Table(OutputSpec, ("csv", _PATH), ("json", _PATH))
 
 
 def _parse_stage(entry, index: int) -> Stage:
     where = f"cascade[{index}]"
-    entry = _require_mapping(entry, where)
-    _check_keys(entry, {"label", "gain", "gain_db", "waste", "waste_db", "passive"}, where)
+    entry = _mapping(entry, {"label", "gain", "gain_db", "waste", "waste_db", "passive"}, where)
     label = entry.get("label", f"stage {index + 1}")
     if not isinstance(label, str):
         raise ValueError(f"{where}.label: expected a string, got {label!r}")
@@ -210,9 +275,9 @@ def _parse_stage(entry, index: int) -> Stage:
     return Stage(gain=gain, waste=waste, label=label)
 
 
-def _parse_cascade(section) -> Cascade:
+def _parse_cascade(section, where: str) -> Cascade:
     if not isinstance(section, list):
-        raise ValueError(f"cascade: expected a list of stages, got {section!r}")
+        raise ValueError(f"{where}: expected a list of stages, got {section!r}")
     return Cascade(tuple(_parse_stage(entry, i) for i, entry in enumerate(section)))
 
 
@@ -225,205 +290,57 @@ def cascade_to_config(c: Cascade) -> dict:
     }
 
 
-def _parse_channel(section, where: str) -> tuple[float, PathLossChannel | None]:
-    section = _require_mapping(section, where)
-    _check_keys(section, {"k", "alpha", "distance", "gain", "gain_db"}, where)
-    path_loss_keys = {"k", "alpha", "distance"} & set(section)
-    gain_keys = {"gain", "gain_db"} & set(section)
-    if path_loss_keys and gain_keys:
-        raise ValueError(
-            f"{where}: give either k/alpha/distance or gain, not both "
-            f"({sorted(path_loss_keys | gain_keys)})"
-        )
-    if gain_keys:
-        gain = _ratio(section, "gain", where)
-        if not 0.0 < gain <= 1.0:
-            raise ValueError(f"{where}: channel gain must be in (0, 1], got {gain!r}")
-        return gain, None
-    if path_loss_keys != {"k", "alpha", "distance"}:
-        raise ValueError(f"{where}: path-loss form needs k, alpha and distance")
-    ch = PathLossChannel(
-        k=_num(section, "k", where),
-        alpha=_num(section, "alpha", where),
-        distance=_num(section, "distance", where),
-    )
-    return ch.gain(), ch
+def _read_range(section: dict, key: str, where: str) -> tuple[float, float]:
+    rng = section[key]
+    if not isinstance(rng, (list, tuple)) or len(rng) != 2:
+        raise ValueError(f"{where}.{key}: expected [low, high], got {rng!r}")
+    return (float(rng[0]), float(rng[1]))
 
 
-def _parse_terminals(section, where: str) -> LinkTerminals:
-    section = _require_mapping(section, where)
-    _check_keys(
-        section, {"w_tx", "w_tx_db", "w_rx", "w_rx_db", "g_rx", "g_rx_db"}, where
-    )
-    return LinkTerminals(
-        w_tx=_ratio(section, "w_tx", where),
-        w_rx=_ratio(section, "w_rx", where),
-        g_rx=_ratio(section, "g_rx", where),
-    )
-
-
-def _parse_link(section) -> LinkSetup:
-    where = "link"
-    section = _require_mapping(section, where)
-    _check_keys(section, {"terminals", "channel", "energy"}, where)
-    for key in ("terminals", "channel", "energy"):
-        if key not in section:
-            raise ValueError(f"{where}: missing required section {key}")
-    g_ch, channel = _parse_channel(section["channel"], f"{where}.channel")
-    return LinkSetup(
-        ctx=_parse_energy(section["energy"], f"{where}.energy"),
-        terminals=_parse_terminals(section["terminals"], f"{where}.terminals"),
-        g_ch=g_ch,
-        channel=channel,
-    )
-
-
-def _parse_relay(section) -> RelayScenario:
-    where = "relay_scenario"
-    section = _require_mapping(section, where)
-    _check_keys(
-        section,
-        {
-            "w_tx_source", "w_tx_source_db",
-            "w_tx_relay", "w_tx_relay_db",
-            "g_rx_relay", "g_rx_relay_db",
-            "g_rx_sink", "g_rx_sink_db",
-            "alpha", "k", "d1", "d2", "d3", "energy",
-        },
-        where,
-    )
-    if "energy" not in section:
-        raise ValueError(f"{where}: missing required section energy")
-    return RelayScenario(
-        w_tx_source=_ratio(section, "w_tx_source", where),
-        w_tx_relay=_ratio(section, "w_tx_relay", where),
-        g_rx_relay=_ratio(section, "g_rx_relay", where),
-        g_rx_sink=_ratio(section, "g_rx_sink", where),
-        alpha=_require_num(section, "alpha", where),
-        d1=_require_num(section, "d1", where),
-        d2=_require_num(section, "d2", where),
-        d3=_require_num(section, "d3", where),
-        ctx=_parse_energy(section["energy"], f"{where}.energy"),
-        k=_num(section, "k", where) if "k" in section else 1.0,
-    )
-
-
-def _parse_fwa(section) -> FwaScenario:
-    where = "fwa_scenario"
-    section = _require_mapping(section, where)
-    _check_keys(
-        section,
-        {
-            "w_tx_ue", "w_tx_ue_db", "w_tx_bs", "w_tx_bs_db", "w_tx_ap", "w_tx_ap_db",
-            "g_rx_ue", "g_rx_ue_db", "g_rx_bs", "g_rx_bs_db", "g_rx_ap", "g_rx_ap_db",
-            "rho_u", "alpha", "k", "d1", "d2", "d3", "energy",
-        },
-        where,
-    )
-    for key in ("rho_u", "energy"):
-        if key not in section:
-            raise ValueError(f"{where}: missing required field {key}")
-    return FwaScenario(
-        w_tx_ue=_ratio(section, "w_tx_ue", where),
-        w_tx_bs=_ratio(section, "w_tx_bs", where),
-        w_tx_ap=_ratio(section, "w_tx_ap", where),
-        g_rx_ue=_ratio(section, "g_rx_ue", where),
-        g_rx_bs=_ratio(section, "g_rx_bs", where),
-        g_rx_ap=_ratio(section, "g_rx_ap", where),
-        traffic=TrafficMix.from_uplink(_num(section, "rho_u", where)),
-        alpha=_require_num(section, "alpha", where),
-        d1=_require_num(section, "d1", where),
-        d2=_require_num(section, "d2", where),
-        d3=_require_num(section, "d3", where),
-        ctx=_parse_energy(section["energy"], f"{where}.energy"),
-        k=_num(section, "k", where) if "k" in section else 1.0,
-    )
+def _read_count(section: dict, key: str, where: str) -> int:
+    n = section[key]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"{where}.{key}: expected an integer, got {n!r}")
+    return n
 
 
 def _parse_sweep(section, default_d3: float) -> GridSpec:
     where = "sweep"
-    section = _require_mapping(section, where)
-    _check_keys(section, {"mode", "x_range", "y_range", "nx", "ny", "d3"}, where)
+    section = _mapping(section, {"mode", "x_range", "y_range", "nx", "ny", "d3"}, where)
     mode = section.get("mode", "normalized")
-    d3 = _num(section, "d3", where) if "d3" in section else default_d3
-    if mode == "planar":
-        base = GridSpec.planar_around(d3)
-    else:
-        base = GridSpec(mode=mode, d3=d3)
-    kwargs = {}
-    for key in ("x_range", "y_range"):
-        if key in section:
-            rng = section[key]
-            if not isinstance(rng, (list, tuple)) or len(rng) != 2:
-                raise ValueError(f"{where}.{key}: expected [low, high], got {rng!r}")
-            kwargs[key] = (float(rng[0]), float(rng[1]))
-    for key in ("nx", "ny"):
-        if key in section:
-            n = section[key]
-            if isinstance(n, bool) or not isinstance(n, int):
-                raise ValueError(f"{where}.{key}: expected an integer, got {n!r}")
-            kwargs[key] = n
-    if not kwargs:
-        return base
-    return GridSpec(
-        mode=base.mode,
-        x_range=kwargs.get("x_range", base.x_range),
-        y_range=kwargs.get("y_range", base.y_range),
-        nx=kwargs.get("nx", base.nx),
-        ny=kwargs.get("ny", base.ny),
-        d3=base.d3,
+    d3 = _num(section, "d3", where, default_d3)
+    base = GridSpec.planar_around(d3) if mode == "planar" else GridSpec(mode=mode, d3=d3)
+    fields = {"x_range": _read_range, "y_range": _read_range, "nx": _read_count, "ny": _read_count}
+    return dataclasses.replace(
+        base, **{key: read(section, key, where) for key, read in fields.items() if key in section}
     )
 
 
-def _parse_output(section) -> OutputSpec:
-    where = "output"
-    section = _require_mapping(section, where)
-    _check_keys(section, {"csv", "json"}, where)
-    for key in ("csv", "json"):
-        if key in section and not isinstance(section[key], str):
-            raise ValueError(f"{where}.{key}: expected a path string, got {section[key]!r}")
-    return OutputSpec(csv=section.get("csv"), json=section.get("json"))
+# scenario section -> (kind, parser); a cascade is a list of stages, not a table
+_KINDS = {
+    "cascade": ("cascade", _parse_cascade),
+    "link": ("link", _LINK.record),
+    "relay_scenario": ("relay", _RELAY.record),
+    "fwa_scenario": ("fwa", _FWA.record),
+}
 
 
 def parse_scenario(data) -> ScenarioFile:
     """Parse a decoded scenario document into validated objects."""
-    data = _require_mapping(data, "scenario file")
-    _check_keys(data, set(_SECTIONS) | {"sweep", "output"}, "scenario file")
-    present = [name for name in _SECTIONS if name in data]
+    data = _mapping(data, {*_KINDS, "sweep", "output"}, "scenario file")
+    present = [name for name in _KINDS if name in data]
     if len(present) != 1:
         raise ValueError(
             "scenario file must contain exactly one of "
-            f"{'/'.join(_SECTIONS)}, found {present or 'none'}"
+            f"{'/'.join(_KINDS)}, found {present or 'none'}"
         )
-    section = present[0]
-    kind = _KIND_BY_SECTION[section]
-
-    cascade = link = relay = fwa = None
-    default_d3 = 1.0
-    if section == "cascade":
-        cascade = _parse_cascade(data["cascade"])
-    elif section == "link":
-        link = _parse_link(data["link"])
-    elif section == "relay_scenario":
-        relay = _parse_relay(data["relay_scenario"])
-        default_d3 = relay.d3
-    else:
-        fwa = _parse_fwa(data["fwa_scenario"])
-        default_d3 = fwa.d3
-
-    sweep = _parse_sweep(data["sweep"], default_d3) if "sweep" in data else None
-    output = _parse_output(data["output"]) if "output" in data else None
+    kind, parse = _KINDS[present[0]]
+    record = parse(data[present[0]], present[0])
+    sweep = _parse_sweep(data["sweep"], getattr(record, "d3", 1.0)) if "sweep" in data else None
+    output = _OUTPUT.record(data["output"], "output") if "output" in data else None
     if sweep is not None and kind not in ("relay", "fwa"):
         raise ValueError("sweep sections apply to relay_scenario and fwa_scenario only")
-    return ScenarioFile(
-        kind=kind,
-        cascade=cascade,
-        link=link,
-        relay=relay,
-        fwa=fwa,
-        sweep=sweep,
-        output=output,
-    )
+    return ScenarioFile(kind=kind, sweep=sweep, output=output, **{kind: record})
 
 
 def load_scenario(path) -> ScenarioFile:

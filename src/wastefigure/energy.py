@@ -92,10 +92,6 @@ class EnergyContext:
         _require("p_np", self.p_np, minimum=0.0)
 
 
-def _context_config(ctx: EnergyContext) -> dict:
-    return {"n0": ctx.n0, "capacity": ctx.capacity, "p_np": ctx.p_np}
-
-
 @dataclass(frozen=True)
 class LinkTerminals:
     """Transmit and receive terminal figures of a point-to-point link."""
@@ -178,9 +174,15 @@ def energy_per_bit_min(ctx: EnergyContext, w: float) -> float:
     return ctx.p_np / ctx.capacity + LN2 * ctx.n0 * w
 
 
-def _require_channel_gain(g_ch: float) -> None:
+def _finite_waste(name: str, num: float, t: LinkTerminals, g_ch: float) -> float:
+    """Link waste num / (g_rx * g_ch) for a valid g_ch, named when not a finite float."""
     if not (0.0 < g_ch <= 1.0) or not math.isfinite(g_ch):
         raise ValueError(f"g_ch must be in (0, 1] and finite, got {g_ch!r}")
+    den = t.g_rx * g_ch
+    w = num / den if den > 0.0 else math.inf
+    if not math.isfinite(w):
+        raise ValueError(f"{name} = {num!r} / {den!r} is outside the float range")
+    return w
 
 
 def link_waste(t: LinkTerminals, g_ch: float) -> float:
@@ -191,14 +193,13 @@ def link_waste(t: LinkTerminals, g_ch: float) -> float:
 
         W = (g_rx * g_ch * w_rx + w_tx - g_ch) / (g_rx * g_ch)
     """
-    _require_channel_gain(g_ch)
-    return (t.g_rx * g_ch * t.w_rx + t.w_tx - g_ch) / (t.g_rx * g_ch)
+    num = t.g_rx * g_ch * t.w_rx + t.w_tx - g_ch
+    return _finite_waste("link waste (g_rx*g_ch*w_rx + w_tx - g_ch)/(g_rx*g_ch)", num, t, g_ch)
 
 
 def link_waste_approx(t: LinkTerminals, g_ch: float) -> float:
     """Wide-coverage approximation of the link waste: w_tx / (g_rx * g_ch)."""
-    _require_channel_gain(g_ch)
-    return t.w_tx / (t.g_rx * g_ch)
+    return _finite_waste("approximate link waste w_tx/(g_rx*g_ch)", t.w_tx, t, g_ch)
 
 
 def energy_per_bit_link(

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .energy import LN2, EnergyContext, _context_config, _require
+from .energy import LN2, EnergyContext, _require
 from .relay import Rule, _axes, _compare, _fixed_power_term, _hop_waste, _rule_holds
 
 __all__ = [
@@ -110,23 +110,8 @@ class FwaScenario:
 
     def to_config(self) -> dict:
         """Scenario as a config mapping (linear units, re-parseable)."""
-        return {
-            "fwa_scenario": {
-                "w_tx_ue": self.w_tx_ue,
-                "w_tx_bs": self.w_tx_bs,
-                "w_tx_ap": self.w_tx_ap,
-                "g_rx_ue": self.g_rx_ue,
-                "g_rx_bs": self.g_rx_bs,
-                "g_rx_ap": self.g_rx_ap,
-                "rho_u": self.traffic.rho_u,
-                "alpha": self.alpha,
-                "k": self.k,
-                "d1": self.d1,
-                "d2": self.d2,
-                "d3": self.d3,
-                "energy": _context_config(self.ctx),
-            }
-        }
+        from .config import _FWA  # at call time: config imports this module
+        return {"fwa_scenario": _FWA.config(self)}
 
 
 @dataclass(frozen=True)

@@ -158,10 +158,11 @@ def _rule_mask(spec: GridSpec, s: RelayScenario | FwaScenario) -> np.ndarray:
         return lhs > a * d1**alpha + b * d2**alpha
 
     # members are a prefix of the y >= 0 half and a suffix of the y < 0 half;
-    # a right-hand side that overflows to inf exceeds the finite lhs, which
-    # is the exact answer, so numpy's overflow warning is silenced
+    # a right-hand side that overflows to inf exceeds the finite lhs, the exact
+    # answer, and 0 * inf (a coefficient that underflowed to 0) is nan, which
+    # compares false alike, so numpy's overflow and invalid warnings are silenced
     j0 = int(np.searchsorted(ys, 0.0))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         his = _first_true(lambda rows, js: ~holds(rows, js), spec.nx, j0, spec.ny)
         los = _first_true(holds, spec.nx, 0, j0)
     # x-major runs: lo cells out, hi - lo cells in, ny - hi cells out per row

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .energy import LN2, EnergyContext, _check_regime, _context_config, _require
+from .energy import LN2, EnergyContext, _check_regime, _require
 
 __all__ = [
     "RelayScenario",
@@ -83,20 +83,8 @@ class RelayScenario:
 
     def to_config(self) -> dict:
         """Scenario as a config mapping (linear units, re-parseable)."""
-        return {
-            "relay_scenario": {
-                "w_tx_source": self.w_tx_source,
-                "w_tx_relay": self.w_tx_relay,
-                "g_rx_relay": self.g_rx_relay,
-                "g_rx_sink": self.g_rx_sink,
-                "alpha": self.alpha,
-                "k": self.k,
-                "d1": self.d1,
-                "d2": self.d2,
-                "d3": self.d3,
-                "energy": _context_config(self.ctx),
-            }
-        }
+        from .config import _RELAY  # at call time: config imports this module
+        return {"relay_scenario": _RELAY.config(self)}
 
 
 @dataclass(frozen=True)
@@ -139,7 +127,14 @@ class Rule(NamedTuple):
 def _rule_holds(s, include_c: bool) -> bool:
     """The rule test at the scenario's own distances, with or without c."""
     a, b, c = s._rule()
-    return s.d3**s.alpha > a * s.d1**s.alpha + b * s.d2**s.alpha + (c if include_c else 0.0)
+    try:
+        return s.d3**s.alpha > a * s.d1**s.alpha + b * s.d2**s.alpha + (c if include_c else 0.0)
+    except OverflowError:
+        # alpha > 0, so the largest distance is one whose power overflowed
+        d = max(s.d1, s.d2, s.d3)
+        raise ValueError(
+            f"decision rule: d**alpha = {d!r}**{s.alpha!r} is outside the float range"
+        ) from None
 
 
 def _axes(s) -> tuple[float, float]:

@@ -573,6 +573,26 @@ class TestCliContract:
         assert "outside the float range" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("channel, named", [
+        ({"distance": 1e-300}, "channel: distance**alpha = 1e-300**2.0"),
+        ({"distance": 1e200}, "channel: distance**alpha = 1e+200**2.0"),
+        ({"k": 1e-300, "distance": 1e10}, "link waste (g_rx*g_ch*w_rx + w_tx - g_ch)/(g_rx*g_ch)"),
+    ])
+    def test_link_channel_outside_float_range_exits_1(self, scenario, channel, named):
+        doc = json.loads((Path(__file__).resolve().parent.parent / "scenarios" / "link.json").read_text())
+        doc["link"]["channel"].update(channel)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "wastefigure.cli", "link", scenario(doc)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {named} ")
+        assert "outside the float range" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_regime_notes_go_to_stderr(self, scenario, capsys):
         # normalized geometry with d < 1 sits outside the wide-coverage
         # regime; the report stays on stdout, the caveat lands on stderr

@@ -297,6 +297,14 @@ class TestOverflowingWaste:
             fwa_verdict(s)
 
 
+class TestUnrepresentableDistance:
+    def test_decision_rule_names_the_overflow(self):
+        s = hw_scenario(0.5, alpha=6.0, d1=5e59, d2=5e59, d3=1e60)
+        match = r"^decision rule: d\*\*alpha = 1e\+60\*\*6\.0 is outside the float range"
+        with pytest.raises(ValueError, match=match):
+            fwa_decision_holds(s)
+
+
 class TestValidation:
     def test_traffic_type_checked(self):
         with pytest.raises(ValueError, match="TrafficMix"):

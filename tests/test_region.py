@@ -289,6 +289,18 @@ class TestIntervalKernelExact:
         assert not region.mask.any(axis=1).all()
         assert region.area_fraction == float(region.mask.mean())
 
+    def test_zero_coefficient_times_inf_power_without_warning(self):
+        # A = 1e-200 / 1e200 underflows to 0, and 0 * inf is nan past the
+        # first row: nan compares false, so those cells are not advantageous
+        s = relay_scn(g_rx_relay=1e200, g_rx_sink=1e-200)
+        assert s._rule().a == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            region = sweep_relay(s, GridSpec(x_range=(0.0, 1e200), nx=5, ny=5))
+        expected = np.zeros((5, 5), dtype=bool)
+        expected[0, :3] = True
+        assert np.array_equal(region.mask, expected)
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_random_grid_matches_full_grid_kernel(self, data):

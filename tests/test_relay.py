@@ -264,6 +264,13 @@ class TestUnrepresentableDistance:
         with pytest.raises(ValueError, match=match):
             relay_verdict(s)
 
+    @pytest.mark.parametrize("include_pnp", [False, True])
+    def test_decision_rule_names_the_overflow(self, include_pnp):
+        s = reference_scenario(d1=5e59, d2=5e59, d3=1e60)
+        match = r"^decision rule: d\*\*alpha = 1e\+60\*\*6\.0 is outside the float range"
+        with pytest.raises(ValueError, match=match):
+            decision_rule_holds(s, include_pnp=include_pnp)
+
 
 class TestOverflowingWaste:
     # d**alpha is finite, but w_tx / (g_rx * k / d**alpha) overflows to inf
