@@ -100,7 +100,10 @@ def _num(section: dict, key: str, where: str, default=None) -> float:
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{where}.{key}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer too large for a float
+        raise ValueError(f"{where}.{key}: {value!r} is outside the float range") from None
 
 
 def _ratio(section: dict, key: str, where: str, default=None) -> float:
@@ -112,7 +115,10 @@ def _ratio(section: dict, key: str, where: str, default=None) -> float:
     if has_lin:
         return _num(section, key, where)
     if has_db:
-        return db_to_linear(_num(section, f"{key}_db", where))
+        try:
+            return db_to_linear(_num(section, f"{key}_db", where))
+        except ValueError as exc:
+            raise ValueError(f"{where}.{key}_db: {exc}") from None
     return _absent(default, where, f"field {key} (or {key}_db)")
 
 
@@ -256,6 +262,11 @@ _FWA = _Table(
 )
 _OUTPUT = _Table(OutputSpec, ("csv", _PATH), ("json", _PATH))
 
+# The two-hop records echo through their tables, bound here once; until this
+# module is imported their ``_config`` is relay._bind_echo, which imports it.
+RelayScenario._config = _RELAY.config
+FwaScenario._config = _FWA.config
+
 
 def _parse_stage(entry, index: int) -> Stage:
     where = f"cascade[{index}]"
@@ -294,7 +305,7 @@ def _read_range(section: dict, key: str, where: str) -> tuple[float, float]:
     rng = section[key]
     if not isinstance(rng, (list, tuple)) or len(rng) != 2:
         raise ValueError(f"{where}.{key}: expected [low, high], got {rng!r}")
-    return (float(rng[0]), float(rng[1]))
+    return tuple(_num({key: value}, key, where) for value in rng)
 
 
 def _read_count(section: dict, key: str, where: str) -> int:

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 from .energy import LN2, EnergyContext, _require
-from .relay import Rule, _axes, _compare, _fixed_power_term, _hop_waste, _rule_holds
+from .relay import Rule, _axes, _bind_echo, _compare, _fixed_power_term, _hop_waste, _rule_holds
 
 __all__ = [
     "TrafficMix",
@@ -108,10 +108,11 @@ class FwaScenario:
         b_num = t.rho_u * self.w_tx_ap / self.g_rx_bs + t.rho_d * self.w_tx_ap / self.g_rx_ue
         return Rule(a_num / den, b_num / den, _fixed_power_term(self.ctx, self.k, den))
 
+    _config = _bind_echo  # replaced by the field table's echo when config is imported
+
     def to_config(self) -> dict:
         """Scenario as a config mapping (linear units, re-parseable)."""
-        from .config import _FWA  # at call time: config imports this module
-        return {"fwa_scenario": _FWA.config(self)}
+        return {"fwa_scenario": self._config()}
 
 
 @dataclass(frozen=True)

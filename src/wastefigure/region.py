@@ -18,18 +18,25 @@ two routes tie) count as not advantageous.
 For a fixed grid row x the rule's right-hand side never decreases as
 |y| grows (both coefficients are positive, and d1 and d2 grow with
 |y|) and its left-hand side is one constant per grid, so a row's
-advantageous cells form one contiguous interval around y = 0. Sweeps
-find each row's two interval ends by bisection over all rows at once
-and build the mask from the resulting runs. The bisection evaluates the
-same elementwise expression as a full-grid evaluation, but at
-O(nx log ny) points instead of nx * ny, so masks are unchanged.
+advantageous cells form one contiguous interval [lo, hi) around y = 0.
+Sweeps find each row's two interval ends by bisection over all rows at
+once. The bisection evaluates the same elementwise expression as a
+full-grid evaluation, but at O(nx log ny) points instead of nx * ny,
+so masks are unchanged.
+
+A region is stored as the mask's x-major run-length encoding, the form
+the JSON output writes. A sweep builds it from the row intervals in
+O(nx), and its area fraction is sum(hi - lo) / (nx * ny); neither reads
+a cell. The mask itself is decoded from the runs only when a caller
+reads ``FeasibilityRegion.mask`` (the CSV writer, ``region_subset``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -105,14 +112,42 @@ class GridSpec:
         return np.linspace(self.y_range[0], self.y_range[1], self.ny)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FeasibilityRegion:
-    """Advantageous set of a sweep: mask[i, j] is grid point (x_i, y_j)."""
+    """Advantageous set of a sweep: mask[i, j] is grid point (x_i, y_j).
+
+    The region keeps only the mask's x-major run-length encoding; ``mask``
+    is decoded from it on first read and is read-only. A region built from
+    a mask of the grid's shape encodes that mask once.
+    """
 
     spec: GridSpec
-    mask: np.ndarray
     area_fraction: float
     scenario: RelayScenario | FwaScenario
+    _rle: tuple[int, list[int]] = field(repr=False)  # (first, runs), as rle_decode takes them
+
+    def __init__(self, spec: GridSpec, mask, area_fraction: float, scenario) -> None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (spec.nx, spec.ny):
+            raise ValueError(f"mask shape {mask.shape} does not match the {spec.nx}x{spec.ny} grid")
+        self._fill(spec, area_fraction, scenario, _rle_encode(mask.ravel()))
+
+    @classmethod
+    def _from_rle(cls, spec: GridSpec, area_fraction: float, scenario, rle) -> "FeasibilityRegion":
+        region = cls.__new__(cls)
+        region._fill(spec, area_fraction, scenario, rle)
+        return region
+
+    def _fill(self, spec, area_fraction, scenario, rle) -> None:
+        # the instance is frozen; its fields are set once, here
+        self.__dict__.update(spec=spec, area_fraction=area_fraction, scenario=scenario, _rle=rle)
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """The (nx, ny) bool mask, decoded from the runs on first read."""
+        mask = rle_decode(*self._rle, (self.spec.nx, self.spec.ny))
+        mask.setflags(write=False)
+        return mask
 
 
 def _first_true(pred, nrows: int, start: int, stop: int) -> np.ndarray:
@@ -133,7 +168,8 @@ def _first_true(pred, nrows: int, start: int, stop: int) -> np.ndarray:
         lo[rows[~t]] = mid[~t] + 1
 
 
-def _rule_mask(spec: GridSpec, s: RelayScenario | FwaScenario) -> np.ndarray:
+def _rule_intervals(spec: GridSpec, s: RelayScenario | FwaScenario) -> tuple[np.ndarray, np.ndarray]:
+    """Per grid row i, the advantageous cells' interval [los[i], his[i])."""
     a, b, c = s._rule()
     alpha = s.alpha
     planar = spec.mode == "planar"
@@ -165,20 +201,30 @@ def _rule_mask(spec: GridSpec, s: RelayScenario | FwaScenario) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         his = _first_true(lambda rows, js: ~holds(rows, js), spec.nx, j0, spec.ny)
         los = _first_true(holds, spec.nx, 0, j0)
-    # x-major runs: lo cells out, hi - lo cells in, ny - hi cells out per row
-    runs = np.stack([los, his - los, spec.ny - his], axis=1).ravel()
-    cells = np.tile(np.array([False, True, False]), spec.nx)
-    return np.repeat(cells, runs).reshape(spec.nx, spec.ny)
+    return los, his
 
 
-def _finish(spec: GridSpec, mask: np.ndarray, scenario) -> FeasibilityRegion:
-    mask.setflags(write=False)
-    return FeasibilityRegion(
-        spec=spec,
-        mask=mask,
-        area_fraction=np.count_nonzero(mask) / mask.size,
-        scenario=scenario,
-    )
+def _intervals_rle(los: np.ndarray, his: np.ndarray, ny: int) -> tuple[int, list[int]]:
+    """x-major run-length encoding of the mask whose row i is in on [los[i], his[i]).
+
+    Each non-empty row flips the mask at i*ny + lo and i*ny + hi. A row
+    ending at ny followed by a row starting at 0 meets it at the same
+    index, and that pair of flips cancels: the run continues.
+    """
+    size = los.size * ny
+    rows = np.flatnonzero(his > los)
+    flips = (rows[:, None] * ny + np.stack([los[rows], his[rows]], axis=1)).ravel()
+    joined = np.flatnonzero(flips[1:] == flips[:-1])
+    flips = np.delete(flips, np.concatenate([joined, joined + 1]))
+    first = int(flips.size > 0 and flips[0] == 0)
+    inner = flips[(flips > 0) & (flips < size)]
+    return first, np.diff(np.concatenate(([0], inner, [size]))).tolist()
+
+
+def _sweep(spec: GridSpec, s: RelayScenario | FwaScenario) -> FeasibilityRegion:
+    los, his = _rule_intervals(spec, s)
+    area = int((his - los).sum()) / (spec.nx * spec.ny)
+    return FeasibilityRegion._from_rle(spec, area, s, _intervals_rle(los, his, spec.ny))
 
 
 def sweep_relay(s: RelayScenario, spec: GridSpec, workers: int = 1) -> FeasibilityRegion:
@@ -189,10 +235,11 @@ def sweep_relay(s: RelayScenario, spec: GridSpec, workers: int = 1) -> Feasibili
     grid's d3). In normalized mode the scenario's d3 scales the non-path
     power term, so the scenario's own point lands on its own verdict.
     Each grid row's advantageous cells are one interval whose ends are
-    found by bisection. ``workers`` is accepted and ignored; it is kept
-    only so that existing callers keep working.
+    found by bisection. The region stores the runs of those intervals;
+    its mask is decoded on demand. ``workers`` is accepted and ignored;
+    it is kept only so that existing callers keep working.
     """
-    return _finish(spec, _rule_mask(spec, s), s)
+    return _sweep(spec, s)
 
 
 def sweep_fwa(s: FwaScenario, spec: GridSpec, workers: int = 1) -> FeasibilityRegion:
@@ -200,7 +247,7 @@ def sweep_fwa(s: FwaScenario, spec: GridSpec, workers: int = 1) -> FeasibilityRe
 
     Same rule and kernel as ``sweep_relay``; ``workers`` is ignored.
     """
-    return _finish(spec, _rule_mask(spec, s), s)
+    return _sweep(spec, s)
 
 
 def region_subset(inner: FeasibilityRegion, outer: FeasibilityRegion) -> bool:
@@ -242,7 +289,7 @@ def rle_decode(first: int, runs: list[int], shape: tuple[int, int]) -> np.ndarra
 
 def region_json_doc(region: FeasibilityRegion) -> dict:
     """Sweep as a JSON-ready mapping: grid, scenario echo, RLE mask, area."""
-    first, runs = _rle_encode(region.mask.ravel(order="C"))
+    first, runs = region._rle
     return {
         "grid": {
             "mode": region.spec.mode,
@@ -254,7 +301,7 @@ def region_json_doc(region: FeasibilityRegion) -> dict:
         },
         "scenario": region.scenario.to_config(),
         "area_fraction": region.area_fraction,
-        "mask": {"order": "x-major", "first": first, "runs": runs},
+        "mask": {"order": "x-major", "first": first, "runs": list(runs)},
     }
 
 

@@ -45,6 +45,13 @@ __all__ = [
 ]
 
 
+def _bind_echo(record) -> dict:
+    """Echo a two-hop record on first use: importing config binds its field table."""
+    from . import config  # noqa: F401  (config imports this module, so not at the top)
+
+    return record._config()
+
+
 @dataclass(frozen=True)
 class RelayScenario:
     """Hardware, geometry and operating point of a relay comparison.
@@ -81,10 +88,11 @@ class RelayScenario:
             _fixed_power_term(self.ctx, self.k, self.w_tx_source / self.g_rx_sink),
         )
 
+    _config = _bind_echo  # replaced by the field table's echo when config is imported
+
     def to_config(self) -> dict:
         """Scenario as a config mapping (linear units, re-parseable)."""
-        from .config import _RELAY  # at call time: config imports this module
-        return {"relay_scenario": _RELAY.config(self)}
+        return {"relay_scenario": self._config()}
 
 
 @dataclass(frozen=True)

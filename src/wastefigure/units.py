@@ -16,7 +16,10 @@ def db_to_linear(value_db: float) -> float:
     """Convert a power quantity in dB to a linear ratio."""
     if not math.isfinite(value_db):
         raise ValueError(f"dB value must be finite, got {value_db!r}")
-    return 10.0 ** (value_db / 10.0)
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"dB value {value_db!r} is outside the float range as a linear ratio") from None
 
 
 def linear_to_db(ratio: float) -> float:

@@ -593,6 +593,24 @@ class TestCliContract:
         assert "outside the float range" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("doc, named", [
+        ({"relay_scenario": dict(RELAY_BODY, g_rx_relay_db=4000)},
+         "relay_scenario.g_rx_relay_db: dB value 4000.0 is outside the float range"),
+        ({"relay_scenario": RELAY_BODY, "sweep": {"x_range": [None, 1.0]}},
+         "sweep.x_range: expected a number, got None"),
+    ])
+    def test_unparseable_number_exits_1(self, scenario, doc, named):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "wastefigure.cli", "relay", scenario(doc)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {named}")
+        assert "Traceback" not in proc.stderr
+
     def test_regime_notes_go_to_stderr(self, scenario, capsys):
         # normalized geometry with d < 1 sits outside the wide-coverage
         # regime; the report stays on stdout, the caveat lands on stderr

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from wastefigure.config import cascade_to_config, load_scenario, parse_scenario
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def echo(sf):
@@ -149,3 +153,64 @@ class TestEchoKeyOrder:
     def test_cascade_stages(self):
         stages = echo(load_scenario(SCENARIOS / "cascade.json"))["cascade"]
         assert [list(stage) for stage in stages] == [["label", "gain", "waste"]] * 3
+
+
+class TestNumbers:
+    """Numeric fields take JSON numbers only, and name the field when they cannot."""
+
+    def relay(self, **sweep):
+        doc = json.loads((SCENARIOS / "relay.json").read_text())
+        return dict(doc, sweep=sweep)
+
+    @pytest.mark.parametrize("rng", [[None, 1.0], ["0", "1.5"], [True, 2], [0, "1"], [0, [1]]])
+    def test_sweep_range_rejects_non_numbers(self, rng):
+        with pytest.raises(ValueError, match=r"^sweep\.x_range: expected a number, got "):
+            parse_scenario(self.relay(x_range=rng))
+
+    def test_sweep_range_takes_ints_and_floats(self):
+        sf = parse_scenario(self.relay(x_range=[0, 1.5], y_range=[0.25, 2]))
+        assert sf.sweep.x_range == (0.0, 1.5)
+        assert sf.sweep.y_range == (0.25, 2.0)
+
+    def test_integer_outside_the_float_range(self):
+        with pytest.raises(ValueError, match=r"^sweep\.x_range: 1000+ is outside the float range"):
+            parse_scenario(self.relay(x_range=[0, 10**400]))
+        doc = json.loads((SCENARIOS / "relay.json").read_text())
+        doc["relay_scenario"]["alpha"] = 10**400
+        with pytest.raises(ValueError, match=r"^relay_scenario\.alpha: 1000+ is outside the float range"):
+            parse_scenario(doc)
+
+    @pytest.mark.parametrize("value", [4000, 1e300])
+    def test_db_overflow_names_the_field(self, value):
+        doc = json.loads((SCENARIOS / "relay.json").read_text())
+        doc["relay_scenario"]["g_rx_sink_db"] = value
+        with pytest.raises(ValueError, match=r"^relay_scenario\.g_rx_sink_db: dB value .* outside the float range"):
+            parse_scenario(doc)
+
+
+def test_two_hop_echo_in_a_fresh_interpreter_importing_the_record_modules_first():
+    code = """
+import json, sys
+import wastefigure.relay as relay, wastefigure.fwa as fwa
+from wastefigure.energy import EnergyContext
+ctx = EnergyContext(n0=1e-20, capacity=1e8)
+geometry = dict(alpha=4.0, d1=0.4, d2=0.5, d3=1.0, ctx=ctx)
+echoes = [
+    relay.RelayScenario(w_tx_source=1.0, w_tx_relay=2.0, g_rx_relay=1e3, g_rx_sink=10.0, **geometry).to_config(),
+    fwa.FwaScenario(w_tx_ue=3.0, w_tx_bs=15.0, w_tx_ap=10.0, g_rx_ue=10.0, g_rx_bs=30.0, g_rx_ap=10.0,
+                    traffic=fwa.TrafficMix.from_uplink(0.25), **geometry).to_config(),
+]
+json.dump(echoes, sys.stdout)
+"""
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    relay_echo, fwa_echo = json.loads(proc.stdout)
+    assert list(relay_echo) == ["relay_scenario"] and list(fwa_echo) == ["fwa_scenario"]
+    assert relay_echo["relay_scenario"]["g_rx_relay"] == 1e3
+    assert fwa_echo["fwa_scenario"]["rho_u"] == 0.25
+    for doc in (relay_echo, fwa_echo):
+        assert echo(parse_scenario(doc)) == doc

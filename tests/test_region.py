@@ -585,3 +585,105 @@ class TestSweepFollowsVerdict:
         cell = st.tuples(st.integers(1, nx - 2), st.integers(1, ny - 2))
         cells = data.draw(st.lists(cell, min_size=1, max_size=30))
         assert verdict_disagreements(s, spec, cells) == []
+
+
+def interval_mask(los, his, ny):
+    mask = np.zeros((len(los), ny), dtype=bool)
+    for i, (lo, hi) in enumerate(zip(los, his)):
+        mask[i, lo:hi] = True
+    return mask
+
+
+@st.composite
+def row_intervals(draw):
+    """Per-row [lo, hi): empty, full, touching either edge, or inside."""
+    nx = draw(st.integers(min_value=1, max_value=12))
+    ny = draw(st.integers(min_value=1, max_value=12))
+    edge = st.sampled_from([0, ny])
+    inner = st.integers(min_value=0, max_value=ny)
+    los, his = [], []
+    for _ in range(nx):
+        lo, hi = sorted(draw(st.tuples(st.one_of(edge, inner), st.one_of(edge, inner))))
+        los.append(lo)
+        his.append(hi)
+    return np.array(los), np.array(his), ny
+
+
+class TestIntervalRuns:
+    """A sweep's runs come from its row intervals; they must equal the mask's encoding."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(intervals=row_intervals())
+    def test_runs_equal_encoding_of_the_decoded_mask(self, intervals):
+        from wastefigure.region import _intervals_rle, _rle_encode
+
+        los, his, ny = intervals
+        mask = interval_mask(los, his, ny)
+        first, runs = _intervals_rle(los, his, ny)
+        assert (first, runs) == _rle_encode(mask.ravel())
+        assert np.array_equal(rle_decode(first, runs, mask.shape), mask)
+
+    @pytest.mark.parametrize(
+        "los, his, ny",
+        [
+            ([0, 2, 5], [0, 2, 5], 5),  # all out, empty rows at both ends and inside
+            ([0, 0, 0], [4, 4, 4], 4),  # all in: full rows join into one run
+            ([1, 0, 2], [4, 3, 2], 4),  # a row ending at ny, then one starting at 0
+            ([3, 0, 0], [3, 4, 2], 4),  # empty first row, full row, row from 0
+            ([0, 1, 0, 0], [4, 1, 4, 1], 4),  # full rows split by an empty one
+            ([2, 0], [4, 4], 4),  # a row ending at ny, then a full row
+        ],
+        ids=["all-out", "all-in", "end-then-start", "empty-first", "empty-between", "end-then-full"],
+    )
+    def test_edge_rows(self, los, his, ny):
+        from wastefigure.region import _intervals_rle, _rle_encode
+
+        los, his = np.array(los), np.array(his)
+        mask = interval_mask(los, his, ny)
+        assert _intervals_rle(los, his, ny) == _rle_encode(mask.ravel())
+
+    @pytest.mark.parametrize("kind", ["relay", "fwa"])
+    @pytest.mark.parametrize(
+        "spec",
+        [GridSpec(nx=41, ny=37), GridSpec.planar_around(2.0, nx=53, ny=61)],
+        ids=["normalized", "planar"],
+    )
+    def test_lazy_mask_is_read_only_and_equals_reference(self, kind, spec):
+        region, expected = swept_and_reference(kind, relay_scn() if kind == "relay" else fwa_scn(), spec)
+        mask = region.mask
+        assert mask is region.mask
+        assert not mask.flags.writeable
+        assert np.array_equal(mask, expected)
+        assert region.area_fraction == np.count_nonzero(expected) / expected.size
+        with pytest.raises(ValueError):
+            mask[0, 0] = not mask[0, 0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_hand_built_region_json_round_trips(self, data):
+        nx = data.draw(st.integers(min_value=2, max_value=9))
+        ny = data.draw(st.integers(min_value=2, max_value=9))
+        bits = data.draw(st.lists(st.booleans(), min_size=nx * ny, max_size=nx * ny))
+        mask = np.array(bits, dtype=bool).reshape(nx, ny)
+        region = FeasibilityRegion(
+            spec=GridSpec(nx=nx, ny=ny), mask=mask, area_fraction=float(mask.mean()),
+            scenario=relay_scn(),
+        )
+        doc = json.loads(json.dumps(region_json_doc(region)))
+        m = doc["mask"]
+        assert np.array_equal(rle_decode(m["first"], m["runs"], (nx, ny)), mask)
+        assert np.array_equal(region.mask, mask)
+        assert not region.mask.flags.writeable
+
+    def test_hand_built_mask_must_match_the_grid(self):
+        with pytest.raises(ValueError, match="does not match the 3x4 grid"):
+            FeasibilityRegion(
+                spec=GridSpec(nx=3, ny=4), mask=np.zeros((4, 3), dtype=bool),
+                area_fraction=0.0, scenario=relay_scn(),
+            )
+
+    def test_doc_runs_are_a_copy(self):
+        region = sweep_relay(relay_scn(), GridSpec(nx=21, ny=13))
+        region_json_doc(region)["mask"]["runs"].append(1)
+        m = region_json_doc(region)["mask"]
+        assert np.array_equal(rle_decode(m["first"], m["runs"], (21, 13)), region.mask)

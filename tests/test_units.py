@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -45,3 +46,9 @@ def test_linear_to_db_rejects_nonpositive(bad):
 def test_db_to_linear_rejects_nonfinite(bad):
     with pytest.raises(ValueError):
         db_to_linear(bad)
+
+
+@pytest.mark.parametrize("big", [4000.0, 3084.0, 1e300])
+def test_db_to_linear_overflow_is_a_named_error(big):
+    with pytest.raises(ValueError, match=re.escape(f"dB value {big!r} is outside the float range")):
+        db_to_linear(big)
