@@ -118,11 +118,29 @@ def cascade_waste(c: Cascade) -> float:
     product of all downstream gains exactly once.
     """
     total = 1.0
+    for term in _sink_to_source_terms(c):
+        total += term
+    return total
+
+
+def _label(c: Cascade, idx: int) -> str:
+    return c.stages[idx].label or f"stage {idx + 1}"
+
+
+def _sink_to_source_terms(c: Cascade) -> list[float]:
+    """Each stage's term (W_k - 1) / prod(G_i, i > k), sink first; inf is a ValueError."""
+    terms = []
     downstream_gain = 1.0
     for st in reversed(c.stages):
-        total += (st.waste - 1.0) / downstream_gain
+        term = (st.waste - 1.0) / downstream_gain if downstream_gain > 0.0 else math.inf
+        if term == math.inf:
+            raise ValueError(
+                f"{_label(c, len(c.stages) - 1 - len(terms))}: term (W - 1) / (gain after it) = "
+                f"{st.waste - 1.0!r} / {downstream_gain!r} is outside the float range"
+            )
+        terms.append(term)
         downstream_gain *= st.gain
-    return total
+    return terms
 
 
 def compose_subsystems(ws1: float, ws2: float, gs2: float) -> float:
@@ -163,20 +181,14 @@ class ContributionReport:
 
 def contribution_report(c: Cascade) -> ContributionReport:
     """Break a cascade's waste factor into per-stage additive terms."""
-    raw: list[tuple[str, float]] = []
-    downstream_gain = 1.0
-    for idx in range(len(c.stages) - 1, -1, -1):
-        st = c.stages[idx]
-        label = st.label or f"stage {idx + 1}"
-        raw.append((label, (st.waste - 1.0) / downstream_gain))
-        downstream_gain *= st.gain
+    raw = _sink_to_source_terms(c)
     raw.reverse()  # back to source-to-sink so the descending sort ties stay stable
 
-    total = 1.0 + sum(t for _, t in raw)
+    total = 1.0 + sum(raw)
     excess = total - 1.0
     if excess > 0.0:
-        terms = [StageTerm(label, t, t / excess) for label, t in raw]
+        terms = [StageTerm(_label(c, idx), t, t / excess) for idx, t in enumerate(raw)]
     else:
-        terms = [StageTerm(label, 0.0, 0.0) for label, _ in raw]
+        terms = [StageTerm(_label(c, idx), 0.0, 0.0) for idx in range(len(raw))]
     terms.sort(key=lambda st_: st_.term, reverse=True)
     return ContributionReport(total_waste=total, terms=tuple(terms))

@@ -234,14 +234,24 @@ def max_efficient_distance(
     Below the returned distance the fixed per-bit cost p_np/C exceeds
     the transmission term of the link energy; beyond it transmission
     waste takes over. Returns None when no such distance exists (the
-    transmission term dominates at every distance, e.g. p_np = 0).
+    transmission term dominates at every distance, e.g. p_np = 0). A
+    distance outside the float range is a ValueError.
     """
     _require("k", k, minimum=0.0, exclusive=True)
     _require("alpha", alpha, minimum=0.0, exclusive=True)
     n0c = ctx.n0 * ctx.capacity
-    braced = (k / (t.w_tx * LN2 * n0c)) * (
-        ctx.p_np * t.g_rx + n0c * LN2 * (1.0 - t.g_rx * t.w_rx)
+    try:
+        braced = (k / (t.w_tx * LN2 * n0c)) * (
+            ctx.p_np * t.g_rx + n0c * LN2 * (1.0 - t.g_rx * t.w_rx)
+        )
+        if braced <= 0.0:
+            return None
+        d_max = braced ** (1.0 / alpha)
+    except (OverflowError, ZeroDivisionError):
+        d_max = math.nan
+    if d_max < math.inf:
+        return d_max
+    raise ValueError(
+        "max efficient distance: (k / (w_tx ln2 N0 C) * (p_np g_rx + N0 C ln2 (1 - g_rx w_rx)))"
+        f"**(1/alpha) with k = {k!r}, alpha = {alpha!r} is outside the float range"
     )
-    if braced <= 0.0:
-        return None
-    return braced ** (1.0 / alpha)

@@ -17,13 +17,14 @@ with traffic-and-hardware coefficients:
     A = (rho_u * w_tx_ue / g_rx_ap + rho_d * w_tx_bs / g_rx_ap) / D
     B = (rho_u * w_tx_ap / g_rx_bs + rho_d * w_tx_ap / g_rx_ue) / D
 
-and C the non-path power term over D (zero when p_np = 0). The margin,
-the rule test, the ellipse axes and the sweeps are the relay module's,
-applied to this rule; the sweeps include C, scaled by the scenario's d3
-in normalized mode. At alpha = 2 the C = 0 advantageous boundary is a
-quarter ellipse with semi-axes sqrt(1/A) and sqrt(1/B); pure uplink or
-pure downlink traffic reduces everything to the single-direction relay
-comparison with the corresponding role assignment.
+and C the non-path power term over D (zero when p_np = 0), built as a
+``relay.Rule``: the verdict decides by the sign of its margin, and the
+rule test, the ellipse axes and the sweeps evaluate it; the sweeps
+include C, scaled by the scenario's d3 in normalized mode. At alpha = 2
+the C = 0 advantageous boundary is a quarter ellipse with semi-axes
+sqrt(1/A) and sqrt(1/B); pure uplink or pure downlink traffic reduces
+everything to the single-direction relay comparison with the
+corresponding role assignment.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 from .energy import LN2, EnergyContext, _require
-from .relay import Rule, _axes, _bind_echo, _compare, _fixed_power_term, _hop_waste, _rule_holds
+from .relay import Rule, _bind_echo, _compare, _fixed_power_term, _hop_waste
 
 __all__ = [
     "TrafficMix",
@@ -106,7 +107,7 @@ class FwaScenario:
         den = t.rho_u * self.w_tx_ue / self.g_rx_bs + t.rho_d * self.w_tx_bs / self.g_rx_ue
         a_num = t.rho_u * self.w_tx_ue / self.g_rx_ap + t.rho_d * self.w_tx_bs / self.g_rx_ap
         b_num = t.rho_u * self.w_tx_ap / self.g_rx_bs + t.rho_d * self.w_tx_ap / self.g_rx_ue
-        return Rule(a_num / den, b_num / den, _fixed_power_term(self.ctx, self.k, den))
+        return Rule(a_num / den, b_num / den, _fixed_power_term(self.ctx, self.k, den), self.alpha)
 
     _config = _bind_echo  # replaced by the field table's echo when config is imported
 
@@ -117,7 +118,7 @@ class FwaScenario:
 
 @dataclass(frozen=True)
 class FwaVerdict:
-    """Outcome of an FWA comparison; use_ap iff ratio < 1 (tie -> direct)."""
+    """Outcome of an FWA comparison; use_ap iff margin > 0; ratio reported; tie -> direct."""
 
     e_direct: float
     e_relayed: float
@@ -151,24 +152,23 @@ def fwa_ratio(s: FwaScenario) -> float:
 
 def rule_coefficients(s: FwaScenario) -> tuple[float, float]:
     """Distance-rule coefficients (A, B) for the current traffic mix."""
-    a, b, _ = s._rule()
-    return a, b
+    return s._rule()[:2]
 
 
 def fwa_decision_holds(s: FwaScenario) -> bool:
     """Closed-form test (negligible non-path power): does the AP save energy."""
-    return _rule_holds(s, include_c=False)
+    return s._rule().margin(s.d1, s.d2, s.d3, include_c=False) > 0.0
 
 
 def fwa_ellipse_axes(s: FwaScenario) -> tuple[float, float]:
     """Semi-axes of the advantageous-region boundary at alpha = 2."""
-    return _axes(s)
+    return s._rule().axes()
 
 
 def fwa_verdict(s: FwaScenario) -> FwaVerdict:
     """Full comparison: energies, ratio, decision, and rule margin.
 
-    The margin includes the non-path power term, so its sign follows the
-    decision.
+    The margin includes the non-path power term, and the decision is its
+    sign. A value outside the float range is a ValueError.
     """
     return FwaVerdict(*_compare(s, fwa_direct_energy(s), fwa_relayed_energy(s)))

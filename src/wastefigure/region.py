@@ -1,9 +1,9 @@
 """Feasibility-region sweeps: where does assisted routing save energy.
 
-Evaluates the relay and FWA scenarios' two-hop rule
-``d3**alpha > A*d1**alpha + B*d2**alpha + C`` (``relay.Rule``, the same
-rule their verdicts follow, non-path power term C included) over a grid
-and reports the advantageous set as a boolean mask. Two grid modes:
+Evaluates the two-hop rule ``d3**alpha > A*d1**alpha + B*d2**alpha + C``
+of a relay or FWA scenario (``relay.Rule``, whose margin sign is its
+verdict) over a grid: a point is advantageous iff ``Rule.lhs`` (C
+included) exceeds ``Rule.rhs`` there. Two grid modes:
 
 * ``normalized``: coordinates are (d1/d3, d2/d3) and the rule is divided
   by d3**alpha, so C enters as C / d3**alpha with the scenario's own d3;
@@ -168,42 +168,6 @@ def _first_true(pred, nrows: int, start: int, stop: int) -> np.ndarray:
         lo[rows[~t]] = mid[~t] + 1
 
 
-def _rule_intervals(spec: GridSpec, s: RelayScenario | FwaScenario) -> tuple[np.ndarray, np.ndarray]:
-    """Per grid row i, the advantageous cells' interval [los[i], his[i])."""
-    a, b, c = s._rule()
-    alpha = s.alpha
-    planar = spec.mode == "planar"
-    d3 = spec.d3 if planar else s.d3
-    try:
-        d3_alpha = d3**alpha
-    except OverflowError:
-        d3_alpha = math.inf
-    if (planar or c != 0.0) and not 0.0 < d3_alpha < math.inf:
-        raise ValueError(f"sweep: d3**alpha = {d3!r}**{alpha!r} is outside the float range")
-    # the rule's left-hand side, divided by d3**alpha in normalized mode
-    lhs = d3_alpha if planar else 1.0
-    if c != 0.0:
-        lhs -= c if planar else c / d3_alpha
-    xs = spec.x_points()
-    ys = spec.y_points()
-
-    def holds(rows: np.ndarray, js: np.ndarray) -> np.ndarray:
-        d1, d2 = xs[rows], ys[js]
-        if planar:
-            d1, d2 = np.hypot(d1, d2), np.hypot(d1 - spec.d3, d2)
-        return lhs > a * d1**alpha + b * d2**alpha
-
-    # members are a prefix of the y >= 0 half and a suffix of the y < 0 half;
-    # a right-hand side that overflows to inf exceeds the finite lhs, the exact
-    # answer, and 0 * inf (a coefficient that underflowed to 0) is nan, which
-    # compares false alike, so numpy's overflow and invalid warnings are silenced
-    j0 = int(np.searchsorted(ys, 0.0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        his = _first_true(lambda rows, js: ~holds(rows, js), spec.nx, j0, spec.ny)
-        los = _first_true(holds, spec.nx, 0, j0)
-    return los, his
-
-
 def _intervals_rle(los: np.ndarray, his: np.ndarray, ny: int) -> tuple[int, list[int]]:
     """x-major run-length encoding of the mask whose row i is in on [los[i], his[i]).
 
@@ -222,7 +186,26 @@ def _intervals_rle(los: np.ndarray, his: np.ndarray, ny: int) -> tuple[int, list
 
 
 def _sweep(spec: GridSpec, s: RelayScenario | FwaScenario) -> FeasibilityRegion:
-    los, his = _rule_intervals(spec, s)
+    """The region of the rule: grid row i is advantageous on [los[i], his[i])."""
+    rule = s._rule()
+    planar = spec.mode == "planar"
+    lhs = rule.lhs(spec.d3 if planar else s.d3, normalized=not planar)
+    xs, ys = spec.x_points(), spec.y_points()
+
+    def holds(rows: np.ndarray, js: np.ndarray) -> np.ndarray:
+        d1, d2 = xs[rows], ys[js]
+        if planar:
+            d1, d2 = np.hypot(d1, d2), np.hypot(d1 - spec.d3, d2)
+        return lhs > rule.rhs(d1, d2)
+
+    # members are a prefix of the y >= 0 half and a suffix of the y < 0 half;
+    # a right-hand side that overflows to inf exceeds the finite lhs, the exact
+    # answer, and 0 * inf (a coefficient that underflowed to 0) is nan, which
+    # compares false alike, so numpy's overflow and invalid warnings are silenced
+    j0 = int(np.searchsorted(ys, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        his = _first_true(lambda rows, js: ~holds(rows, js), spec.nx, j0, spec.ny)
+        los = _first_true(holds, spec.nx, 0, j0)
     area = int((his - los).sum()) / (spec.nx * spec.ny)
     return FeasibilityRegion._from_rle(spec, area, s, _intervals_rle(los, his, spec.ny))
 

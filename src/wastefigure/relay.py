@@ -15,10 +15,10 @@ bit" into a closed-form test on distances and hardware ratios:
     d3**alpha > A * d1**alpha + B * d2**alpha + C
 
 with ``A = g_rx_sink / g_rx_relay``, ``B = w_tx_relay / w_tx_source`` and
-C the non-path power term (zero when p_np = 0). FWA builds the same
-``Rule`` with traffic-weighted A, B and C; margin, rule test, ellipse
-axes and sweeps (``region``) derive from it for both kinds. The sweeps
-apply C too; normalized ones as C / d3**alpha with the scenario's d3.
+C the non-path power term (zero when p_np = 0). ``Rule`` holds this
+algebra for both kinds (FWA weights A, B and C by traffic): the verdict
+decides by its margin's sign, and the rule test, ellipse axes and sweeps
+(``region``) evaluate it. Normalized sweeps scale C by the scenario's d3.
 
 At alpha = 2 the boundary of the C = 0 advantageous set in normalized
 (d1/d3, d2/d3) coordinates is a quarter ellipse with semi-axes
@@ -86,6 +86,7 @@ class RelayScenario:
             self.g_rx_sink / self.g_rx_relay,
             self.w_tx_relay / self.w_tx_source,
             _fixed_power_term(self.ctx, self.k, self.w_tx_source / self.g_rx_sink),
+            self.alpha,
         )
 
     _config = _bind_echo  # replaced by the field table's echo when config is imported
@@ -97,7 +98,7 @@ class RelayScenario:
 
 @dataclass(frozen=True)
 class RelayVerdict:
-    """Outcome of a relay comparison; use_relay iff ratio < 1 (tie -> direct)."""
+    """Outcome of a relay comparison; use_relay iff margin > 0; ratio reported; tie -> direct."""
 
     e_direct: float
     e_relayed: float
@@ -130,43 +131,68 @@ class Rule(NamedTuple):
     a: float
     b: float
     c: float
+    alpha: float
 
+    def rhs(self, d1, d2):
+        """a*d1**alpha + b*d2**alpha, for floats or numpy arrays."""
+        return self.a * d1**self.alpha + self.b * d2**self.alpha
 
-def _rule_holds(s, include_c: bool) -> bool:
-    """The rule test at the scenario's own distances, with or without c."""
-    a, b, c = s._rule()
-    try:
-        return s.d3**s.alpha > a * s.d1**s.alpha + b * s.d2**s.alpha + (c if include_c else 0.0)
-    except OverflowError:
-        # alpha > 0, so the largest distance is one whose power overflowed
-        d = max(s.d1, s.d2, s.d3)
-        raise ValueError(
-            f"decision rule: d**alpha = {d!r}**{s.alpha!r} is outside the float range"
-        ) from None
+    def margin(self, d1: float, d2: float, d3: float, include_c: bool = True) -> float:
+        """d3**alpha - rhs(d1, d2) - c (c only with include_c); > 0 iff assisted wins."""
+        try:
+            margin = d3**self.alpha - self.rhs(d1, d2)
+        except OverflowError:  # alpha > 0, so the largest distance's power overflowed
+            d = max(d1, d2, d3)
+            raise ValueError(
+                f"decision rule: d**alpha = {d!r}**{self.alpha!r} is outside the float range"
+            ) from None
+        return margin - self.c if include_c else margin
 
+    def lhs(self, d3: float, normalized: bool) -> float:
+        """A sweep's constant side: d3**alpha - c, or 1 - c / d3**alpha on normalized axes."""
+        if normalized and self.c == 0.0:
+            return 1.0
+        try:
+            d3_alpha = d3**self.alpha
+        except OverflowError:
+            d3_alpha = math.inf
+        if not 0.0 < d3_alpha < math.inf:
+            raise ValueError(
+                f"sweep: d3**alpha = {d3!r}**{self.alpha!r} is outside the float range"
+            )
+        return 1.0 - self.c / d3_alpha if normalized else d3_alpha - self.c
 
-def _axes(s) -> tuple[float, float]:
-    """Semi-axes sqrt(1/a), sqrt(1/b) of the c = 0 boundary at alpha = 2."""
-    if s.alpha != 2.0:
-        raise ValueError(
-            f"the advantageous region is an ellipse only at alpha = 2, got {s.alpha!r}"
-        )
-    a, b, _ = s._rule()
-    axes = tuple(math.sqrt(1.0 / w) if w > 0.0 else math.inf for w in (a, b))
-    if math.inf in axes:
-        raise ValueError(
-            f"ellipse axes: sqrt(1/A), sqrt(1/B) with A = {a!r}, B = {b!r} "
-            "are outside the float range"
-        )
-    return axes
+    def axes(self) -> tuple[float, float]:
+        """Semi-axes sqrt(1/a), sqrt(1/b) of the c = 0 boundary at alpha = 2."""
+        if self.alpha != 2.0:
+            raise ValueError(
+                f"the advantageous region is an ellipse only at alpha = 2, got {self.alpha!r}"
+            )
+        axes = tuple(math.sqrt(1.0 / w) if w > 0.0 else math.inf for w in (self.a, self.b))
+        if math.inf in axes:
+            raise ValueError(
+                f"ellipse axes: sqrt(1/A), sqrt(1/B) with A = {self.a!r}, B = {self.b!r} "
+                "are outside the float range"
+            )
+        return axes
 
 
 def _compare(s, e3: float, e12: float) -> tuple:
-    """Verdict fields (e_direct, e_relayed, ratio, assisted wins, rule margin)."""
-    a, b, c = s._rule()
+    """Verdict fields (e_direct, e_relayed, ratio, margin > 0, rule margin), all finite."""
+    if not 0.0 < e3 < math.inf:
+        raise ValueError(f"direct energy per bit = {e3!r} is outside the float range")
     ratio = e12 / e3
-    margin = s.d3**s.alpha - (a * s.d1**s.alpha + b * s.d2**s.alpha) - c
-    return e3, e12, ratio, ratio < 1.0, margin
+    if not math.isfinite(ratio):
+        raise ValueError(
+            f"energy ratio (assisted/direct) = {e12!r} / {e3!r} is outside the float range"
+        )
+    margin = s._rule().margin(s.d1, s.d2, s.d3)
+    if not math.isfinite(margin):
+        raise ValueError(
+            f"rule margin d3**alpha - (A*d1**alpha + B*d2**alpha) - C = {margin!r} "
+            "is outside the float range"
+        )
+    return e3, e12, ratio, margin > 0.0, margin
 
 
 def _fixed_power_term(ctx: EnergyContext, k: float, den: float) -> float:
@@ -203,10 +229,10 @@ def decision_rule_holds(s: RelayScenario, include_pnp: bool = False) -> bool:
 
     The default form assumes negligible non-path power and compares
     distances weighted by hardware ratios only. With include_pnp the
-    fixed-cost term enters, scaled by the channel constant so the test
-    stays exactly equivalent to relay_ratio < 1 for any k.
+    fixed-cost term enters, scaled by the channel constant, and the test
+    is relay_verdict's decision (relay_ratio < 1 away from ties) for any k.
     """
-    return _rule_holds(s, include_pnp)
+    return s._rule().margin(s.d1, s.d2, s.d3, include_pnp) > 0.0
 
 
 def ellipse_axes(s: RelayScenario) -> tuple[float, float]:
@@ -214,13 +240,13 @@ def ellipse_axes(s: RelayScenario) -> tuple[float, float]:
 
     Coordinates are normalized distances: a along d1/d3, b along d2/d3.
     """
-    return _axes(s)
+    return s._rule().axes()
 
 
 def relay_verdict(s: RelayScenario) -> RelayVerdict:
     """Full comparison: energies, ratio, decision, and rule margin.
 
-    The margin is the distance rule with its non-path power term, so its
-    sign follows the decision.
+    The margin is the distance rule with its non-path power term, and the
+    decision is its sign. A value outside the float range is a ValueError.
     """
     return RelayVerdict(*_compare(s, direct_energy(s), relayed_energy(s)))

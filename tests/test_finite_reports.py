@@ -1,0 +1,235 @@
+"""Every accepted input ends in a finite report or a named error (exit 1).
+
+The CLI runs in process on documents whose values span the whole float
+range, subnormals and the largest finite values included. A run must not
+raise, must exit 0 or 1, and on exit 0 its JSON report must hold no NaN or
+Infinity. The two-hop verdicts decide by the sign of the rule margin.
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import tempfile
+import warnings
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from wastefigure import (
+    ApproximationRegimeWarning,
+    Cascade,
+    EnergyContext,
+    FwaScenario,
+    LinkTerminals,
+    RelayScenario,
+    Stage,
+    TrafficMix,
+    cascade_waste,
+    contribution_report,
+    decision_rule_holds,
+    fwa_verdict,
+    max_efficient_distance,
+    relay_verdict,
+)
+from wastefigure.cli import main
+
+VALUES = st.one_of(
+    st.floats(-320.0, 308.0).map(lambda e: 10.0**e),
+    st.floats(-5.0, 5.0).map(lambda e: 10.0**e),
+    st.sampled_from([1.0, 5e-324, 1.7e308]),
+)
+RHO_U = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+# about 30 % of the two-hop documents carry a 5x5 sweep
+SWEEP = st.sampled_from([None] * 7 + ["normalized", "normalized", "planar"])
+
+RELAY_FIELDS = ("w_tx_source", "w_tx_relay", "g_rx_relay", "g_rx_sink")
+FWA_FIELDS = ("w_tx_ue", "w_tx_bs", "w_tx_ap", "g_rx_ue", "g_rx_bs", "g_rx_ap")
+GEOMETRY = ("alpha", "k", "d1", "d2", "d3")
+
+
+def fields(names):
+    return st.fixed_dictionaries({name: VALUES for name in names})
+
+
+ENERGY = st.fixed_dictionaries(
+    {"n0": VALUES, "capacity": VALUES}, optional={"p_np": VALUES}
+)
+
+
+@st.composite
+def two_hop_docs(draw, kind):
+    section = draw(fields(RELAY_FIELDS if kind == "relay" else FWA_FIELDS))
+    if kind == "fwa":
+        section["rho_u"] = draw(RHO_U)
+    section.update(draw(fields(GEOMETRY)), energy=draw(ENERGY))
+    doc = {f"{kind}_scenario": section}
+    mode = draw(SWEEP)
+    if mode is not None:
+        doc["sweep"] = {"mode": mode, "nx": 5, "ny": 5}
+    return doc
+
+
+DOCS = st.one_of(
+    st.tuples(
+        st.just("cascade"),
+        st.lists(fields(("gain", "waste")), min_size=1, max_size=4).map(
+            lambda stages: {"cascade": stages}
+        ),
+    ),
+    st.tuples(
+        st.just("link"),
+        st.fixed_dictionaries({
+            "terminals": fields(("w_tx", "w_rx", "g_rx")),
+            "channel": fields(("k", "alpha", "distance")),
+            "energy": ENERGY,
+        }).map(lambda section: {"link": section}),
+    ),
+    st.tuples(st.just("relay"), two_hop_docs("relay")),
+    st.tuples(st.just("fwa"), two_hop_docs("fwa")),
+)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON number {name}")
+
+
+def run_cli(kind, doc):
+    """Run the CLI in process; (exit code, stderr, the JSON report or None)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "doc.json"), os.path.join(tmp, "out.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with warnings.catch_warnings():
+            # a raw numpy warning is a defect too: it must not reach the user
+            warnings.simplefilter("error", RuntimeWarning)
+            with contextlib.redirect_stderr(err):
+                code = main([kind, path, "--json", out, "--quiet"])
+        report = None
+        if code == 0:
+            with open(out, encoding="utf-8") as fh:
+                report = json.load(fh, parse_constant=_reject_constant)
+    return code, err.getvalue(), report
+
+
+class TestCliEndsInFiniteReportOrNamedError:
+    @settings(max_examples=300, deadline=None)
+    @given(DOCS)
+    def test_any_accepted_document(self, kind_doc):
+        kind, doc = kind_doc
+        code, err, report = run_cli(kind, doc)
+        assert code in (0, 1)
+        # on exit 0, run_cli has loaded the report as strict JSON
+        assert (report is not None) == (code == 0)
+        if code == 1:
+            assert err.splitlines()[-1].startswith("error: ")
+
+    UNIT_RELAY = {
+        "w_tx_source": 1.0, "w_tx_relay": 1.0, "g_rx_relay": 1.0, "g_rx_sink": 10.0,
+        "alpha": 2.0, "d1": 0.5, "d2": 0.5, "d3": 1.0,
+        "energy": {"n0": 5e-324, "capacity": 1.0},
+    }
+    UNIT_FWA = {
+        "w_tx_ue": 1.0, "w_tx_bs": 1.0, "w_tx_ap": 1.0,
+        "g_rx_ue": 10.0, "g_rx_bs": 10.0, "g_rx_ap": 1.0, "rho_u": 0.5,
+        "alpha": 2.0, "d1": 0.5, "d2": 0.5, "d3": 1.0,
+        "energy": {"n0": 5e-324, "capacity": 1.0},
+    }
+
+    @pytest.mark.parametrize(
+        "kind, doc, named",
+        [
+            ("relay", {"relay_scenario": UNIT_RELAY}, "direct energy per bit = 0.0"),
+            ("fwa", {"fwa_scenario": UNIT_FWA}, "direct energy per bit = 0.0"),
+            (
+                "relay",
+                {"relay_scenario": dict(
+                    UNIT_RELAY, w_tx_relay=1.7e308, g_rx_sink=1.7e308, d2=2.0,
+                    energy={"n0": 1.0, "capacity": 1.0},
+                )},
+                "energy ratio (assisted/direct)",
+            ),
+            (
+                "cascade",
+                {"cascade": [{"gain": 1.0, "waste": 2.0}, {"gain": 1e-200, "waste": 2.0},
+                             {"gain": 1e-200, "waste": 2.0}]},
+                "stage 1: term (W - 1) / (gain after it) = 1.0 / 0.0",
+            ),
+            (
+                "link",
+                {"link": {
+                    "terminals": {"w_tx": 2.0, "w_rx": 1.5, "g_rx": 10.0},
+                    "channel": {"k": 1e-4, "alpha": 1e-3, "distance": 2.0},
+                    "energy": {"n0": 4e-21, "capacity": 1e8, "p_np": 1e10},
+                }},
+                "max efficient distance: ",
+            ),
+        ],
+    )
+    def test_former_tracebacks_and_infinities_are_named_errors(self, kind, doc, named):
+        code, err, _ = run_cli(kind, doc)
+        assert code == 1
+        assert err.splitlines()[-1].startswith(f"error: {named}")
+        assert "outside the float range" in err.splitlines()[-1]
+
+
+class TestLibraryNamedErrors:
+    @pytest.mark.parametrize(
+        "stages",
+        [
+            # the gain product after the first stage underflows to 0
+            (Stage(1.0, 2.0, "lna"), Stage(1e-200, 2.0), Stage(1e-200, 2.0)),
+            # the first stage's term overflows to inf
+            (Stage(0.02, 1.2e174, "lna"), Stage(7.2e-273, 1.7e308)),
+        ],
+    )
+    def test_cascade_waste_and_report_name_the_stage(self, stages):
+        c = Cascade(stages)
+        for fn in (cascade_waste, contribution_report):
+            with pytest.raises(ValueError, match=r"^lna: term \(W - 1\) / \(gain after it\) = "):
+                fn(c)
+
+    def test_max_efficient_distance_overflow_is_named(self):
+        ctx = EnergyContext(n0=4e-21, capacity=1e8, p_np=1e10)
+        t = LinkTerminals(w_tx=2.0, w_rx=1.5, g_rx=10.0)
+        match = r"^max efficient distance: .* outside the float range"
+        with pytest.raises(ValueError, match=match):
+            max_efficient_distance(ctx, t, k=1e-4, alpha=1e-3)
+
+
+@st.composite
+def two_hop_scenarios(draw):
+    geometry = {name: draw(VALUES) for name in GEOMETRY}
+    ctx = EnergyContext(n0=draw(VALUES), capacity=draw(VALUES), p_np=draw(st.just(0.0) | VALUES))
+    if draw(st.booleans()):
+        hardware = {name: draw(VALUES) for name in RELAY_FIELDS}
+        for name in ("w_tx_source", "w_tx_relay"):
+            hardware[name] = max(hardware[name], 1.0)
+        return RelayScenario(ctx=ctx, **hardware, **geometry)
+    hardware = {name: draw(VALUES) for name in FWA_FIELDS}
+    for name in ("w_tx_ue", "w_tx_bs", "w_tx_ap"):
+        hardware[name] = max(hardware[name], 1.0)
+    traffic = TrafficMix.from_uplink(draw(RHO_U))
+    return FwaScenario(traffic=traffic, ctx=ctx, **hardware, **geometry)
+
+
+class TestVerdictIsTheMarginSign:
+    @settings(max_examples=200, deadline=None)
+    @given(two_hop_scenarios())
+    def test_decision_is_margin_positive(self, s):
+        verdict = relay_verdict if isinstance(s, RelayScenario) else fwa_verdict
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ApproximationRegimeWarning)
+            try:
+                v = verdict(s)
+            except ValueError:
+                return
+        if isinstance(s, RelayScenario):
+            assert v.use_relay == (v.decision_margin > 0.0)
+            assert decision_rule_holds(s, include_pnp=True) == v.use_relay
+        else:
+            assert v.use_ap == (v.decision_margin > 0.0)
+        values = (v.e_direct, v.e_relayed, v.ratio, v.decision_margin)
+        assert all(math.isfinite(x) for x in values)

@@ -211,7 +211,8 @@ def reference_rule_mask(spec, alpha, a, b):
         d1 = np.hypot(x, y)
         d2 = np.hypot(x - spec.d3, y)
         lhs = spec.d3**alpha
-    return lhs > a * d1**alpha + b * d2**alpha
+    with np.errstate(over="ignore"):
+        return lhs > a * d1**alpha + b * d2**alpha
 
 
 def fwa_scn(alpha=4.0, g_rx_ap=10.0):
