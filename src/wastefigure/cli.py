@@ -67,24 +67,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _db(name: str, ratio: float) -> float:
+    """linear_to_db, whose error names the reported value that failed."""
+    try:
+        return linear_to_db(ratio)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def _energy_line(name: str, e: float, n0: float) -> str:
-    return f"{name} = {_fmt(e)} J/bit (E/N0 {_fmt_db(linear_to_db(e / n0))} dB)"
+    return f"{name} = {_fmt(e)} J/bit (E/N0 {_fmt_db(_db(f'{name} E/N0', e / n0))} dB)"
 
 
 def _noted(fn, *args, **kwargs):
-    """Call fn, demoting regime warnings to stderr notes."""
+    """Call fn, demoting regime warnings to stderr notes, also when fn raises."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ApproximationRegimeWarning)
-        result = fn(*args, **kwargs)
-    for w in caught:
-        print(f"note: {w.message}", file=sys.stderr)
-    return result
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            for w in caught:
+                print(f"note: {w.message}", file=sys.stderr)
 
 
 def _cmd_cascade(sf: config.ScenarioFile, args) -> tuple[list[str], dict]:
     c: Cascade = sf.cascade
     rep = contribution_report(c)
-    wf_db = linear_to_db(rep.total_waste)
+    wf_db = _db("cascade waste W", rep.total_waste)
     lines = [f"W = {_fmt(rep.total_waste)}, WF = {_fmt_db(wf_db)} dB"]
     lines.append("stage contributions (largest first):")
     lines.append(f"  {'stage':<20} {'term':>12} {'share':>10}")
@@ -110,7 +119,7 @@ def _cmd_link(sf: config.ScenarioFile, args) -> tuple[list[str], dict]:
         energy_per_bit_link, setup.ctx, setup.terminals, setup.g_ch, mode="approximate"
     )
     lines = [
-        f"W_link = {_fmt(w_exact)} (WF {_fmt_db(linear_to_db(w_exact))} dB)",
+        f"W_link = {_fmt(w_exact)} (WF {_fmt_db(_db('W_link', w_exact))} dB)",
         f"W_link approx = {_fmt(w_approx)}",
         _energy_line("E_b exact", e_exact, setup.ctx.n0),
         _energy_line("E_b approx", e_approx, setup.ctx.n0),

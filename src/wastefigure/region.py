@@ -19,10 +19,13 @@ For a fixed grid row x the rule's right-hand side never decreases as
 |y| grows (both coefficients are positive, and d1 and d2 grow with
 |y|) and its left-hand side is one constant per grid, so a row's
 advantageous cells form one contiguous interval [lo, hi) around y = 0.
-Sweeps find each row's two interval ends by bisection over all rows at
-once. The bisection evaluates the same elementwise expression as a
-full-grid evaluation, but at O(nx log ny) points instead of nx * ny,
-so masks are unchanged.
+Sweeps find each row's two interval ends over all rows at once: each end
+is seeded from the rule's root (closed form on normalized axes, six
+vectorised Newton steps on y**2 in the plane), certified by the rule's
+test at the seed and at the cell before it, and bisected only in the
+rows where that check fails. Every end is thus decided by the same
+elementwise expression as a full-grid evaluation, at O(nx) points
+instead of nx * ny, so masks are unchanged; a poor seed only costs time.
 
 A region is stored as the mask's x-major run-length encoding, the form
 the JSON output writes. A sweep builds it from the row intervals in
@@ -168,6 +171,42 @@ def _first_true(pred, nrows: int, start: int, stop: int) -> np.ndarray:
         lo[rows[~t]] = mid[~t] + 1
 
 
+def _seeded_first_true(pred, seeds: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """``_first_true(pred, seeds.size, start, stop)``, tried at the seeds first.
+
+    As pred is false-then-true along each row, a seed s in [start, stop] is
+    the answer iff pred holds at s (or s == stop) and fails at s - 1 (or
+    s == start). Only the rows whose seed fails that check are bisected.
+    """
+    s = np.clip(seeds, start, stop)
+    at, before = np.flatnonzero(s < stop), np.flatnonzero(s > start)
+    t = pred(np.concatenate([at, before]), np.concatenate([s[at], s[before] - 1]))
+    bad = np.concatenate([at[~t[: at.size]], before[t[at.size :]]])  # no row fails both; any order
+    s[bad] = _first_true(lambda rows, js: pred(bad[rows], js), bad.size, start, stop)
+    return s
+
+
+def _boundary_y(rule, lhs: float, xs: np.ndarray, planar: bool, d3: float) -> np.ndarray:
+    """Per row, an estimate of the |y| where the rule's two sides meet (0 if not finite).
+
+    In the plane it is Newton on u = y**2 in a*(p+u)**h + b*(q+u)**h = lhs
+    (p = x**2, q = (x-d3)**2, h = alpha/2), from the one-term bound above the root.
+    """
+    if not planar:
+        y = ((lhs - rule.a * xs**rule.alpha) / rule.b) ** (1.0 / rule.alpha)
+    else:
+        h, p, q = rule.alpha / 2.0, xs**2, (xs - d3) ** 2
+        ra, rb = (np.float64(lhs) / np.array([rule.a, rule.b])) ** (1.0 / h)
+        u = np.fmax(np.fmin(ra - p, rb - q), 0.0)
+        for _ in range(6):  # fmax turns a nan step (0/0, inf/inf) into a restart at 0
+            pu, qu = p + u, q + u
+            pm, qm = pu ** (h - 1.0), qu ** (h - 1.0)
+            f = rule.a * pm * pu + rule.b * qm * qu - lhs
+            u = np.fmax(u - f / (h * (rule.a * pm + rule.b * qm)), 0.0)
+        y = np.sqrt(u)
+    return np.where(np.isfinite(y), y, 0.0)
+
+
 def _intervals_rle(los: np.ndarray, his: np.ndarray, ny: int) -> tuple[int, list[int]]:
     """x-major run-length encoding of the mask whose row i is in on [los[i], his[i]).
 
@@ -201,11 +240,15 @@ def _sweep(spec: GridSpec, s: RelayScenario | FwaScenario) -> FeasibilityRegion:
     # members are a prefix of the y >= 0 half and a suffix of the y < 0 half;
     # a right-hand side that overflows to inf exceeds the finite lhs, the exact
     # answer, and 0 * inf (a coefficient that underflowed to 0) is nan, which
-    # compares false alike, so numpy's overflow and invalid warnings are silenced
+    # compares false alike, so numpy's overflow and invalid warnings are silenced;
+    # the seeds' own 0/0 and x/0 only make a poor seed, so divide is silenced too
     j0 = int(np.searchsorted(ys, 0.0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        his = _first_true(lambda rows, js: ~holds(rows, js), spec.nx, j0, spec.ny)
-        los = _first_true(holds, spec.nx, 0, j0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y_star = _boundary_y(rule, lhs, xs, planar, spec.d3)
+        his = _seeded_first_true(
+            lambda rows, js: ~holds(rows, js), np.searchsorted(ys, y_star), j0, spec.ny
+        )
+        los = _seeded_first_true(holds, np.searchsorted(ys, -y_star, side="right"), 0, j0)
     area = int((his - los).sum()) / (spec.nx * spec.ny)
     return FeasibilityRegion._from_rle(spec, area, s, _intervals_rle(los, his, spec.ny))
 
@@ -217,8 +260,9 @@ def sweep_relay(s: RelayScenario, spec: GridSpec, workers: int = 1) -> Feasibili
     its own geometry (normalized ratios, or planar positions with the
     grid's d3). In normalized mode the scenario's d3 scales the non-path
     power term, so the scenario's own point lands on its own verdict.
-    Each grid row's advantageous cells are one interval whose ends are
-    found by bisection. The region stores the runs of those intervals;
+    Each grid row's advantageous cells are one interval, whose ends are
+    seeded from the rule's root, certified by the rule's own test and
+    bisected only where that fails. The region stores the runs of those intervals;
     its mask is decoded on demand. ``workers`` is accepted and ignored;
     it is kept only so that existing callers keep working.
     """
@@ -228,7 +272,7 @@ def sweep_relay(s: RelayScenario, spec: GridSpec, workers: int = 1) -> Feasibili
 def sweep_fwa(s: FwaScenario, spec: GridSpec, workers: int = 1) -> FeasibilityRegion:
     """Sweep the FWA distance rule; coefficients follow the traffic mix.
 
-    Same rule and kernel as ``sweep_relay``; ``workers`` is ignored.
+    Same rule and seed-certify-bisect kernel as ``sweep_relay``; ``workers`` is ignored.
     """
     return _sweep(spec, s)
 

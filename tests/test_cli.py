@@ -619,6 +619,38 @@ class TestCliContract:
         assert "note:" in err
         assert "note:" not in out
 
+    def test_regime_notes_printed_when_the_verdict_raises(self, scenario, capsys):
+        # the direct energy underflows to 0 after the direct hop's regime note
+        body = dict(
+            w_tx_source=1, w_tx_relay=1, g_rx_relay=1, g_rx_sink=10, alpha=2,
+            d1=0.5, d2=0.5, d3=1, energy={"n0": 5e-324, "capacity": 1},
+        )
+        code, out, err = run(capsys, "relay", scenario({"relay_scenario": body}))
+        assert code == 1
+        assert out == ""
+        *notes, error = err.splitlines()
+        assert error.startswith("error: direct energy per bit")
+        assert any(note.startswith("note: direct hop: G_rx*G_ch = 10 ") for note in notes)
+
+    @pytest.mark.parametrize("command, doc, named", [
+        # p_np / (C * n0) overflows: E/N0 is inf
+        ("link", {"link": {
+            "terminals": {"w_tx": 2.0, "w_rx": 1.5, "g_rx": 10.0},
+            "channel": {"k": 1e-4, "alpha": 2.0, "distance": 100.0},
+            "energy": {"n0": 1e-310, "capacity": 1.0, "p_np": 1.0},
+        }}, "E_b exact E/N0: linear ratio must be positive and finite, got inf"),
+        # ln2 * n0 * (w1 + w2) underflows: the assisted energy is 0
+        ("relay", {"relay_scenario": dict(
+            w_tx_source=1, w_tx_relay=1, g_rx_relay=1e-3, g_rx_sink=1e-3, alpha=2,
+            d1=0.01, d2=0.01, d3=100, energy={"n0": 5e-324, "capacity": 1},
+        )}, "assisted energy E/N0: linear ratio must be positive and finite, got 0.0"),
+    ])
+    def test_db_error_names_the_value(self, scenario, capsys, command, doc, named):
+        code, out, err = run(capsys, command, scenario(doc))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1] == f"error: {named}"
+
 
 class TestShippedScenarios:
     """The demo files under scenarios/ must keep parsing and running."""

@@ -201,16 +201,21 @@ class TestParallelSweeps:
         assert blobs[0] == blobs[1] == blobs[2]
 
 
-def reference_rule_mask(spec, alpha, a, b):
-    """Full-grid broadcast evaluation of the rule: the sweeps must equal it bit for bit."""
+def reference_rule_mask(spec, alpha, a, b, lhs=None):
+    """Full-grid broadcast evaluation of the rule: the sweeps must equal it bit for bit.
+
+    ``lhs`` defaults to the rule's constant side without a non-path power term.
+    """
     x = spec.x_points()[:, None]
     y = spec.y_points()[None, :]
     if spec.mode == "normalized":
-        d1, d2, lhs = x, y, 1.0
+        d1, d2, lhs0 = x, y, 1.0
     else:
         d1 = np.hypot(x, y)
         d2 = np.hypot(x - spec.d3, y)
-        lhs = spec.d3**alpha
+        lhs0 = spec.d3**alpha
+    if lhs is None:
+        lhs = lhs0
     with np.errstate(over="ignore"):
         return lhs > a * d1**alpha + b * d2**alpha
 
@@ -339,6 +344,124 @@ class TestIntervalKernelExact:
         region, expected = swept_and_reference("relay", s, spec)
         assert np.array_equal(region.mask, expected)
         assert region.area_fraction == float(region.mask.mean())
+
+
+def true_from(firsts, start, stop):
+    """Predicate false-then-true along each row, first true at firsts[row]; only reads [start, stop)."""
+
+    def pred(rows, js):
+        assert np.all((start <= js) & (js < stop))
+        return js >= firsts[rows]
+
+    return pred
+
+
+class TestSeededFirstTrue:
+    """Seeded row ends are certified by the predicate itself, so they equal the bisection."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_adversarial_seeds_equal_bisection(self, data):
+        from wastefigure.region import _first_true, _seeded_first_true
+
+        nrows = data.draw(st.integers(min_value=1, max_value=40))
+        start = data.draw(st.integers(min_value=0, max_value=20))
+        stop = data.draw(st.integers(min_value=start, max_value=start + 30))
+        row_ints = lambda values: st.lists(values, min_size=nrows, max_size=nrows).map(np.array)
+        firsts = data.draw(row_ints(st.integers(min_value=start, max_value=stop)))
+        seed = st.one_of(
+            st.integers(min_value=start, max_value=stop),
+            st.sampled_from([start, stop, start - 1, stop + 1, -(10**12), 10**12]),
+            st.integers(min_value=-(10**12), max_value=10**12),
+        )
+        pred = true_from(firsts, start, stop)
+        got = _seeded_first_true(pred, data.draw(row_ints(seed)), start, stop)
+        assert np.array_equal(got, _first_true(pred, nrows, start, stop))
+        assert np.array_equal(got, firsts)
+
+    @pytest.mark.parametrize("start", [0, 7])
+    def test_empty_range_returns_start(self, start):
+        from wastefigure.region import _seeded_first_true
+
+        pred = true_from(np.array([start] * 4), start, start)
+        seeds = np.array([start - 5, start, start + 1, 10**9])
+        assert np.array_equal(_seeded_first_true(pred, seeds, start, start), [start] * 4)
+
+    def test_exact_seeds_evaluate_the_predicate_once(self):
+        from wastefigure.region import _seeded_first_true
+
+        firsts = np.array([0, 3, 10, 5, 10, 1])
+        calls = []
+        pred = true_from(firsts, 0, 10)
+        counted = lambda rows, js: calls.append(rows.size) or pred(rows, js)
+        assert np.array_equal(_seeded_first_true(counted, firsts.copy(), 0, 10), firsts)
+        assert calls == [9]  # one call: at s in the 4 rows with s < 10, at s - 1 in the 5 with s > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_sweeps_equal_full_grid_rule_with_fixed_power(self, data):
+        from wastefigure.region import _rle_encode
+
+        alpha = data.draw(st.floats(min_value=0.5, max_value=8.0))
+        d3 = data.draw(log_uniform(-2.0, 2.0))
+        waste, gain = log_uniform(0.0, 15.0), log_uniform(-15.0, 15.0)
+        common = dict(alpha=alpha, d1=0.5, d2=0.5, d3=d3, ctx=CTX0)
+        if data.draw(st.booleans()):
+            s = RelayScenario(
+                w_tx_source=data.draw(waste), w_tx_relay=data.draw(waste),
+                g_rx_relay=data.draw(gain), g_rx_sink=data.draw(gain), **common,
+            )
+        else:
+            s = FwaScenario(
+                w_tx_ue=data.draw(waste), w_tx_bs=data.draw(waste), w_tx_ap=data.draw(waste),
+                g_rx_ue=data.draw(gain), g_rx_bs=data.draw(gain), g_rx_ap=data.draw(gain),
+                traffic=TrafficMix.from_uplink(data.draw(st.floats(min_value=0.0, max_value=1.0))),
+                **common,
+            )
+        # c is linear in p_np: scale p_np so that c / d3**alpha is the drawn share;
+        # a share >= 1 leaves lhs <= 0 at the scenario's d3, so no cell qualifies
+        share = data.draw(st.one_of(st.just(0.0), log_uniform(-6.0, -0.01), log_uniform(0.0, 0.5)))
+        c_unit = dataclasses.replace(s, ctx=dataclasses.replace(CTX0, p_np=1.0))._rule().c
+        s = dataclasses.replace(s, ctx=dataclasses.replace(CTX0, p_np=share * d3**alpha / c_unit))
+        a, b, c, _ = s._rule()
+        assert (c > 0.0) == (share > 0.0)
+        # ranges drawn around the box the advantageous set lies in (as a share of d3)
+        room = 1.0 - share if share < 1.0 else 1.0
+        sx, sy = (room / a) ** (1.0 / alpha), (room / b) ** (1.0 / alpha)
+        nx, ny = (data.draw(st.integers(min_value=2, max_value=150)) for _ in "xy")
+        # each range: a start in [0, 0.9] and a width in [0.05, 2], as shares of its box
+        (x0, xw), (y0, yw) = (
+            (data.draw(st.floats(0.0, 0.9)), data.draw(st.floats(0.05, 2.0))) for _ in "xy"
+        )
+        if data.draw(st.booleans()):
+            ranges = (x0 * sx, (x0 + xw) * sx), (y0 * sy, (y0 + yw) * sy)
+            grid = dict(mode="normalized")
+            lhs = 1.0 - c / d3**alpha
+        else:
+            # the grid's d3 sets lhs = g3**alpha - c
+            g3 = d3 * data.draw(st.one_of(st.just(1.0), log_uniform(-0.3, 0.3)))
+            if sx + sy > 1.0:
+                (x_lo, x_hi), h = (max(-sx, 1.0 - sy), min(sx, 1.0 + sy)), min(sx, sy)
+            else:  # no point of the plane qualifies
+                (x_lo, x_hi), h = (-1.0, 2.0), 1.0
+            side = data.draw(st.sampled_from(["above", "below", "straddle"]))
+            y_lo, y_hi = {"above": (y0, y0 + yw), "below": (-y0 - yw, -y0),
+                          "straddle": (-y0 - 0.01, yw)}[side]
+            ranges = (
+                tuple(g3 * (x_lo + f * (x_hi - x_lo)) for f in (x0, x0 + xw)),
+                (g3 * h * y_lo, g3 * h * y_hi),
+            )
+            grid = dict(mode="planar", d3=g3)
+            lhs = g3**alpha - c
+        assume(all(lo < hi for lo, hi in ranges))  # a narrow box far from 0 can round shut
+        spec = GridSpec(x_range=ranges[0], y_range=ranges[1], nx=nx, ny=ny, **grid)
+        expected = reference_rule_mask(spec, alpha, a, b, lhs=lhs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sweep = sweep_relay if isinstance(s, RelayScenario) else sweep_fwa
+            region = sweep(s, spec)
+        assert region._rle == _rle_encode(expected.ravel())
+        assert region.area_fraction == float(expected.mean())
 
 
 class TestSubset:
