@@ -23,6 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
+
+from .units import FLOAT_MAX
 
 __all__ = [
     "Stage",
@@ -35,18 +38,20 @@ __all__ = [
     "contribution_report",
 ]
 
+_setattr = object.__setattr__  # how a frozen dataclass sets its own fields
+
 
 def _require_gain(name: str, value: float) -> None:
-    if not (value > 0.0 and math.isfinite(value)):
+    if not 0.0 < value <= FLOAT_MAX:
         raise ValueError(f"{name}: gain must be positive and finite, got {value!r}")
 
 
 def _require_waste(name: str, value: float) -> None:
-    if not (value >= 1.0 and math.isfinite(value)):
+    if not 1.0 <= value <= FLOAT_MAX:
         raise ValueError(f"{name}: waste factor must be >= 1 and finite, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Stage:
     """One element of a cascade: linear power gain and waste factor.
 
@@ -59,10 +64,16 @@ class Stage:
     waste: float
     label: str = ""
 
-    def __post_init__(self) -> None:
-        name = self.label or "stage"
-        _require_gain(name, self.gain)
-        _require_waste(name, self.waste)
+    def __init__(self, gain: float, waste: float, label: str = "") -> None:
+        if not (0.0 < gain <= FLOAT_MAX and 1.0 <= waste <= FLOAT_MAX):
+            name = label or "stage"
+            _require_gain(name, gain)
+            _require_waste(name, waste)
+        # written out rather than generated: the generated __init__ looks up
+        # object.__setattr__ once per field and then calls a __post_init__
+        _setattr(self, "gain", gain)
+        _setattr(self, "waste", waste)
+        _setattr(self, "label", label)
 
     @classmethod
     def passive(cls, gain: float, label: str = "") -> "Stage":
@@ -70,12 +81,11 @@ class Stage:
 
         A passive element cannot amplify, so gain must lie in (0, 1].
         """
-        name = label or "passive stage"
-        if not (0.0 < gain <= 1.0):
+        if not 0.0 < gain <= 1.0:
             raise ValueError(
-                f"{name}: passive gain must be in (0, 1], got {gain!r}"
+                f"{label or 'passive stage'}: passive gain must be in (0, 1], got {gain!r}"
             )
-        return cls(gain=gain, waste=1.0 / gain, label=label)
+        return cls(gain, 1.0 / gain, label)
 
 
 @dataclass(frozen=True)
@@ -83,6 +93,7 @@ class Cascade:
     """Ordered chain of stages, source first, sink last. Never empty."""
 
     stages: tuple[Stage, ...]
+    _cached = None  # ``_waste_and_terms()`` once computed; with no annotation it is not a field
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stages", tuple(self.stages))
@@ -94,6 +105,42 @@ class Cascade:
 
     def __len__(self) -> int:
         return len(self.stages)
+
+    def __getstate__(self) -> dict:
+        return {"stages": self.stages}  # the cached W and terms are not part of the value
+
+    def _waste_and_terms(self) -> tuple[float, tuple[float, ...]]:
+        """``(W, terms)``: each stage's term (W_k - 1) / prod(G_i, i > k), sink first,
+        and W = 1 + their sum, added in that order. A term of inf is a ValueError.
+
+        An ideal stage (W_k = 1) adds 0 whatever the gain after it, even
+        where that gain product has underflowed to 0. Computed on the first
+        call and kept in ``_cached`` (``functools.cached_property`` takes a
+        lock on each first read before Python 3.12: about 1 µs, a third of
+        the loop on a 33-stage chain).
+        """
+        cached = self._cached
+        if cached is not None:
+            return cached
+        total = 1.0
+        terms = []
+        after = 1.0  # the gain product after the current stage
+        inf = math.inf
+        for st in reversed(self.stages):
+            excess = st.waste - 1.0
+            term = excess / after if after > 0.0 else (inf if excess else 0.0)
+            if term == inf:
+                idx = len(self.stages) - 1 - len(terms)
+                raise ValueError(
+                    f"{st.label or f'stage {idx + 1}'}: term (W - 1) / (gain after it) = "
+                    f"{excess!r} / {after!r} is outside the float range"
+                )
+            terms.append(term)
+            total += term
+            after *= st.gain
+        cached = (total, tuple(terms))
+        _setattr(self, "_cached", cached)
+        return cached
 
 
 def stage_waste_two(w1: float, w2: float, g2: float) -> float:
@@ -117,30 +164,7 @@ def cascade_waste(c: Cascade) -> float:
     Accumulates sink-to-source so each stage's excess is divided by the
     product of all downstream gains exactly once.
     """
-    total = 1.0
-    for term in _sink_to_source_terms(c):
-        total += term
-    return total
-
-
-def _label(c: Cascade, idx: int) -> str:
-    return c.stages[idx].label or f"stage {idx + 1}"
-
-
-def _sink_to_source_terms(c: Cascade) -> list[float]:
-    """Each stage's term (W_k - 1) / prod(G_i, i > k), sink first; inf is a ValueError."""
-    terms = []
-    downstream_gain = 1.0
-    for st in reversed(c.stages):
-        term = (st.waste - 1.0) / downstream_gain if downstream_gain > 0.0 else math.inf
-        if term == math.inf:
-            raise ValueError(
-                f"{_label(c, len(c.stages) - 1 - len(terms))}: term (W - 1) / (gain after it) = "
-                f"{st.waste - 1.0!r} / {downstream_gain!r} is outside the float range"
-            )
-        terms.append(term)
-        downstream_gain *= st.gain
-    return terms
+    return c._waste_and_terms()[0]
 
 
 def compose_subsystems(ws1: float, ws2: float, gs2: float) -> float:
@@ -156,13 +180,19 @@ def compose_subsystems(ws1: float, ws2: float, gs2: float) -> float:
     return stage_waste_two(ws1, ws2, gs2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StageTerm:
     """One stage's additive contribution to the cascade waste factor."""
 
     label: str
     term: float
     share: float
+
+    def __init__(self, label: str, term: float, share: float) -> None:
+        _setattr(self, "label", label)  # written out, as in Stage: a report builds one per stage
+        _setattr(self, "term", term)
+        _setattr(self, "share", share)
+
 
 
 @dataclass(frozen=True)
@@ -181,14 +211,14 @@ class ContributionReport:
 
 def contribution_report(c: Cascade) -> ContributionReport:
     """Break a cascade's waste factor into per-stage additive terms."""
-    raw = _sink_to_source_terms(c)
-    raw.reverse()  # back to source-to-sink so the descending sort ties stay stable
+    raw = c._waste_and_terms()[1][::-1]  # source-to-sink so the descending sort ties stay stable
+    labels = [st.label or f"stage {idx}" for idx, st in enumerate(c.stages, 1)]
 
     total = 1.0 + sum(raw)
     excess = total - 1.0
     if excess > 0.0:
-        terms = [StageTerm(_label(c, idx), t, t / excess) for idx, t in enumerate(raw)]
+        terms = [StageTerm(label, t, t / excess) for label, t in zip(labels, raw)]
     else:
-        terms = [StageTerm(_label(c, idx), 0.0, 0.0) for idx in range(len(raw))]
-    terms.sort(key=lambda st_: st_.term, reverse=True)
-    return ContributionReport(total_waste=total, terms=tuple(terms))
+        terms = [StageTerm(label, 0.0, 0.0) for label in labels]
+    terms.sort(key=attrgetter("term"), reverse=True)
+    return ContributionReport(total, tuple(terms))

@@ -79,12 +79,11 @@ def _mapping(value, allowed, where: str) -> dict:
     """``value`` as a section: an object with no keys outside ``allowed``."""
     if not isinstance(value, dict):
         raise ValueError(f"{where}: expected an object, got {value!r}")
-    unknown = set(value) - allowed
-    if unknown:
-        raise ValueError(
-            f"{where}: unknown field(s) {sorted(unknown)}; allowed: {sorted(allowed)}"
-        )
-    return value
+    if value.keys() <= allowed:
+        return value
+    raise ValueError(
+        f"{where}: unknown field(s) {sorted(set(value) - allowed)}; allowed: {sorted(allowed)}"
+    )
 
 
 def _absent(default, where: str, what: str):
@@ -98,6 +97,8 @@ def _num(section: dict, key: str, where: str, default=None) -> float:
     if key not in section:
         return _absent(default, where, f"field {key}")
     value = section[key]
+    if type(value) is float:  # a JSON number with a fraction or exponent: nothing to convert
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{where}.{key}: expected a number, got {value!r}")
     try:
@@ -108,18 +109,17 @@ def _num(section: dict, key: str, where: str, default=None) -> float:
 
 def _ratio(section: dict, key: str, where: str, default=None) -> float:
     """Fetch a ratio given linearly (``key``) or in dB (``key_db``)."""
-    has_lin = key in section
-    has_db = f"{key}_db" in section
-    if has_lin and has_db:
-        raise ValueError(f"{where}: give {key} or {key}_db, not both")
-    if has_lin:
+    db_key = key + "_db"
+    if key in section:
+        if db_key in section:
+            raise ValueError(f"{where}: give {key} or {db_key}, not both")
         return _num(section, key, where)
-    if has_db:
+    if db_key in section:
         try:
-            return db_to_linear(_num(section, f"{key}_db", where))
+            return db_to_linear(_num(section, db_key, where))
         except ValueError as exc:
-            raise ValueError(f"{where}.{key}_db: {exc}") from None
-    return _absent(default, where, f"field {key} (or {key}_db)")
+            raise ValueError(f"{where}.{db_key}: {exc}") from None
+    return _absent(default, where, f"field {key} (or {db_key})")
 
 
 def _shared_direction_value(section: dict, base: str, where: str, default) -> float:
@@ -268,10 +268,13 @@ RelayScenario._config = _RELAY.config
 FwaScenario._config = _FWA.config
 
 
+_STAGE_KEYS = frozenset({"label", "gain", "gain_db", "waste", "waste_db", "passive"})
+
+
 def _parse_stage(entry, index: int) -> Stage:
     where = f"cascade[{index}]"
-    entry = _mapping(entry, {"label", "gain", "gain_db", "waste", "waste_db", "passive"}, where)
-    label = entry.get("label", f"stage {index + 1}")
+    entry = _mapping(entry, _STAGE_KEYS, where)
+    label = entry["label"] if "label" in entry else f"stage {index + 1}"
     if not isinstance(label, str):
         raise ValueError(f"{where}.label: expected a string, got {label!r}")
     gain = _ratio(entry, "gain", where)
@@ -282,14 +285,13 @@ def _parse_stage(entry, index: int) -> Stage:
         if "waste" in entry or "waste_db" in entry:
             raise ValueError(f"{where}: a passive stage's waste is implied by its gain")
         return Stage.passive(gain, label=label)
-    waste = _ratio(entry, "waste", where)
-    return Stage(gain=gain, waste=waste, label=label)
+    return Stage(gain, _ratio(entry, "waste", where), label)
 
 
 def _parse_cascade(section, where: str) -> Cascade:
     if not isinstance(section, list):
         raise ValueError(f"{where}: expected a list of stages, got {section!r}")
-    return Cascade(tuple(_parse_stage(entry, i) for i, entry in enumerate(section)))
+    return Cascade(tuple([_parse_stage(entry, i) for i, entry in enumerate(section)]))
 
 
 def cascade_to_config(c: Cascade) -> dict:

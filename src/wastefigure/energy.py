@@ -28,6 +28,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from .units import FLOAT_MAX
+
 __all__ = [
     "LN2",
     "ApproximationRegimeWarning",
@@ -67,10 +69,10 @@ def _check_regime(product: float, where: str) -> None:
 
 
 def _require(name: str, value: float, *, minimum: float, exclusive: bool = False) -> None:
-    ok = value > minimum if exclusive else value >= minimum
-    if not (ok and math.isfinite(value)):
-        bound = ">" if exclusive else ">="
-        raise ValueError(f"{name} must be {bound} {minimum} and finite, got {value!r}")
+    if (minimum < value <= FLOAT_MAX) if exclusive else (minimum <= value <= FLOAT_MAX):
+        return
+    bound = ">" if exclusive else ">="
+    raise ValueError(f"{name} must be {bound} {minimum} and finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -195,7 +195,8 @@ def _boundary_y(rule, lhs: float, xs: np.ndarray, planar: bool, d3: float) -> np
     if not planar:
         y = ((lhs - rule.a * xs**rule.alpha) / rule.b) ** (1.0 / rule.alpha)
     else:
-        h, p, q = rule.alpha / 2.0, xs**2, (xs - d3) ** 2
+        # a numpy h: alpha/2 underflows to 0 for a subnormal alpha, and 1/h is then inf
+        h, p, q = np.float64(rule.alpha) / 2.0, xs**2, (xs - d3) ** 2
         ra, rb = (np.float64(lhs) / np.array([rule.a, rule.b])) ** (1.0 / h)
         u = np.fmax(np.fmin(ra - p, rb - q), 0.0)
         for _ in range(6):  # fmax turns a nan step (0/0, inf/inf) into a restart at 0

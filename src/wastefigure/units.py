@@ -8,8 +8,13 @@ convention is used throughout: ``x_db = 10 * log10(x)``.
 from __future__ import annotations
 
 import math
+import sys
 
 __all__ = ["db_to_linear", "linear_to_db"]
+
+# the largest finite float: ``x <= FLOAT_MAX`` is false for inf, NaN and an
+# int too large for a float, so one chained comparison checks "finite"
+FLOAT_MAX = sys.float_info.max
 
 
 def db_to_linear(value_db: float) -> float:

@@ -1,8 +1,10 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wastefigure import (
     Cascade,
@@ -53,6 +55,19 @@ class TestStage:
     def test_empty_cascade_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             Cascade(())
+
+    def test_records_copy_replace_and_pickle_as_dataclasses(self):
+        st_ = Stage(2.0, 1.5, "lna")
+        assert dataclasses.replace(st_, label="pa") == Stage(2.0, 1.5, "pa")
+        with pytest.raises(ValueError, match=r"^lna: waste factor must be >= 1"):
+            dataclasses.replace(st_, waste=0.5)
+        assert pickle.loads(pickle.dumps(st_)) == st_ and hash(st_) == hash(Stage(2.0, 1.5, "lna"))
+        assert repr(st_) == "Stage(gain=2.0, waste=1.5, label='lna')"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            st_.gain = 3.0
+        (term,) = contribution_report(Cascade((st_,))).terms
+        assert dataclasses.asdict(term) == {"label": "lna", "term": 0.5, "share": 1.0}
+        assert pickle.loads(pickle.dumps(term)) == term
 
 
 class TestTwoDevices:
@@ -240,3 +255,127 @@ class TestContributionReport:
             for i in range(n - 1):
                 assert after[f"s{i}"] < before[f"s{i}"]
             assert after[f"s{n-1}"] == before[f"s{n-1}"]
+
+
+class TestIdealStageBehindUnderflowedGain:
+    """A stage with W = 1 adds 0 whatever the gain after it, even one that underflowed to 0."""
+
+    def test_waste_and_report(self):
+        c = Cascade((Stage(1.0, 1.0, "a"), Stage(1e-200, 1.0, "b"), Stage(1e-200, 1.0, "c")))
+        assert cascade_waste(c) == 1.0
+        assert cascade_waste(Cascade(c.stages[1:])) == 1.0
+        rep = contribution_report(c)
+        assert rep.total_waste == 1.0
+        assert [(t.label, t.term, t.share) for t in rep.terms] == [
+            ("a", 0.0, 0.0), ("b", 0.0, 0.0), ("c", 0.0, 0.0)
+        ]
+
+    def test_behind_a_wasteful_sink_stage(self):
+        c = Cascade((Stage(1.0, 1.0, "a"), Stage(1e-200, 1.0, "b"), Stage(1e-200, 3.0, "c")))
+        assert cascade_waste(c) == 3.0
+        rep = contribution_report(c)
+        assert [(t.label, t.term, t.share) for t in rep.terms] == [
+            ("c", 2.0, 1.0), ("a", 0.0, 0.0), ("b", 0.0, 0.0)
+        ]
+
+
+# -- the algebra as it was before the terms were cached on the Cascade -------
+
+
+def reference_label(c, idx):
+    return c.stages[idx].label or f"stage {idx + 1}"
+
+
+def reference_terms(c):
+    terms = []
+    downstream_gain = 1.0
+    for st_ in reversed(c.stages):
+        term = (st_.waste - 1.0) / downstream_gain if downstream_gain > 0.0 else math.inf
+        if term == math.inf:
+            raise ValueError(
+                f"{reference_label(c, len(c.stages) - 1 - len(terms))}: term (W - 1) / (gain after it) = "
+                f"{st_.waste - 1.0!r} / {downstream_gain!r} is outside the float range"
+            )
+        terms.append(term)
+        downstream_gain *= st_.gain
+    return terms
+
+
+def reference_cascade_waste(c):
+    total = 1.0
+    for term in reference_terms(c):
+        total += term
+    return total
+
+
+def reference_report(c):
+    """``(total_waste, [(label, term, share), ...])`` as contribution_report built them."""
+    raw = reference_terms(c)
+    raw.reverse()
+    total = 1.0 + sum(raw)
+    excess = total - 1.0
+    if excess > 0.0:
+        terms = [(reference_label(c, idx), t, t / excess) for idx, t in enumerate(raw)]
+    else:
+        terms = [(reference_label(c, idx), 0.0, 0.0) for idx in range(len(raw))]
+    terms.sort(key=lambda row: row[1], reverse=True)
+    return total, terms
+
+
+LABELS = st.sampled_from(["", "lna", "pa", "air"])
+# repeated stages make equal terms (ties must keep source-to-sink order), and
+# deep fades make gain products that underflow to 0
+TIES = st.sampled_from([
+    Stage(1.0, 2.0, "x"), Stage(1.0, 2.0), Stage(1.0, 1.0), Stage.passive(0.5), Stage(10.0, 1.0, "id"),
+    Stage(1e-200, 1.0, "fade"), Stage(1e-200, 2.0),
+])
+STAGES = st.one_of(
+    st.builds(Stage.passive, st.floats(-30.0, 0.0).map(lambda e: 10.0**e), LABELS),
+    st.builds(
+        Stage,
+        st.floats(-30.0, 30.0).map(lambda e: 10.0**e),
+        st.one_of(st.just(1.0), st.floats(1.0, 1e6), st.floats(0.0, 30.0).map(lambda e: 10.0**e)),
+        LABELS,
+    ),
+    TIES,
+)
+
+
+class TestAlgebraMatchesTheReference:
+    @settings(max_examples=400, deadline=None)
+    @given(stages=st.lists(STAGES, min_size=1, max_size=64))
+    def test_bit_identical(self, stages):
+        c = Cascade(tuple(stages))
+        try:
+            expected_w = reference_cascade_waste(c)
+        except ValueError as exc:
+            if " = 0.0 / 0.0 " in str(exc):
+                return  # an ideal stage behind an underflowed gain: see the class above
+            for fn in (cascade_waste, contribution_report):
+                with pytest.raises(ValueError) as raised:
+                    fn(c)
+                assert str(raised.value) == str(exc)
+            return
+        total, rows = reference_report(c)
+        assert cascade_waste(c) == expected_w
+        rep = contribution_report(c)
+        assert rep.total_waste == total
+        assert [(t.label, t.term, t.share) for t in rep.terms] == rows
+
+    @settings(max_examples=100, deadline=None)
+    @given(stages=st.lists(STAGES, min_size=1, max_size=64))
+    def test_cache_is_not_part_of_the_value(self, stages):
+        c = Cascade(tuple(stages))
+        twin = Cascade(tuple(stages))
+        before = (repr(c), hash(c), pickle.dumps(c))
+        try:
+            cascade_waste(c)
+        except ValueError:
+            pass
+        assert (repr(c), hash(c), pickle.dumps(c)) == before
+        assert c == twin and twin == c
+        assert dataclasses.replace(c) == twin
+        loaded = pickle.loads(pickle.dumps(c))
+        assert loaded == twin and vars(loaded) == vars(twin)
+        shorter = dataclasses.replace(c, stages=c.stages[-1:])
+        assert cascade_waste(shorter) == 1.0 + (stages[-1].waste - 1.0)

@@ -274,6 +274,24 @@ class TestCascadeCommand:
         echoed = json.loads(out_json.read_text())["scenario"]
         assert parse_scenario(echoed).cascade == load_scenario(path).cascade
 
+    def test_ideal_stage_behind_an_underflowed_gain(self, scenario, tmp_path, capsys):
+        doc = {
+            "cascade": [
+                {"label": "a", "gain": 1.0, "waste": 1.0},
+                {"label": "b", "gain": 1e-200, "waste": 1.0},
+                {"label": "c", "gain_db": -2000.0, "waste_db": 0.0},
+            ]
+        }
+        out_json = tmp_path / "report.json"
+        code, out, err = run(capsys, "cascade", scenario(doc), "--json", str(out_json))
+        assert code == 0, err
+        assert out.splitlines()[0] == "W = 1.000, WF = 0.00 dB"
+        report = json.loads(out_json.read_text())["report"]
+        assert report["waste"] == 1.0
+        assert [(t["label"], t["term"], t["share"]) for t in report["terms"]] == [
+            ("a", 0.0, 0.0), ("b", 0.0, 0.0), ("c", 0.0, 0.0)
+        ]
+
 
 class TestLinkCommand:
     def link_doc(self, channel, p_np=0.0, w_tx=2.0, w_rx=2.0, g_rx=100.0):

@@ -1,15 +1,20 @@
 """Scenario field tables: parse -> echo -> parse, and the echo's key order."""
 
+import copy
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wastefigure import cascade as cascade_module, config, energy as energy_module
+from wastefigure.cascade import Stage
+from wastefigure.energy import EnergyContext, LinkTerminals
 from wastefigure.config import cascade_to_config, load_scenario, parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -214,3 +219,250 @@ json.dump(echoes, sys.stdout)
     assert fwa_echo["fwa_scenario"]["rho_u"] == 0.25
     for doc in (relay_echo, fwa_echo):
         assert echo(parse_scenario(doc)) == doc
+
+
+# -- the readers and checks as they were before their fast paths ------------
+#
+# Each reference runs in place of the function it is named after (see
+# ``reference_checks``), so its names resolve in that function's module:
+# ``_absent``, ``_num``, ``_ratio``, ``_mapping``, ``db_to_linear`` and
+# ``Stage`` in ``config``, ``_require_gain``, ``_require_waste`` and ``math``
+# in ``cascade``, ``math`` in ``energy``.
+
+
+def reference_mapping(value, allowed, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{where}: expected an object, got {value!r}")
+    unknown = set(value) - allowed
+    if unknown:
+        raise ValueError(
+            f"{where}: unknown field(s) {sorted(unknown)}; allowed: {sorted(allowed)}"
+        )
+    return value
+
+
+def reference_num(section: dict, key: str, where: str, default=None) -> float:
+    if key not in section:
+        return _absent(default, where, f"field {key}")
+    value = section[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where}.{key}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{where}.{key}: {value!r} is outside the float range") from None
+
+
+def reference_ratio(section: dict, key: str, where: str, default=None) -> float:
+    has_lin = key in section
+    has_db = f"{key}_db" in section
+    if has_lin and has_db:
+        raise ValueError(f"{where}: give {key} or {key}_db, not both")
+    if has_lin:
+        return _num(section, key, where)
+    if has_db:
+        try:
+            return db_to_linear(_num(section, f"{key}_db", where))
+        except ValueError as exc:
+            raise ValueError(f"{where}.{key}_db: {exc}") from None
+    return _absent(default, where, f"field {key} (or {key}_db)")
+
+
+def reference_parse_stage(entry, index: int):
+    where = f"cascade[{index}]"
+    entry = _mapping(entry, {"label", "gain", "gain_db", "waste", "waste_db", "passive"}, where)
+    label = entry.get("label", f"stage {index + 1}")
+    if not isinstance(label, str):
+        raise ValueError(f"{where}.label: expected a string, got {label!r}")
+    gain = _ratio(entry, "gain", where)
+    passive = entry.get("passive", False)
+    if not isinstance(passive, bool):
+        raise ValueError(f"{where}.passive: expected true/false, got {passive!r}")
+    if passive:
+        if "waste" in entry or "waste_db" in entry:
+            raise ValueError(f"{where}: a passive stage's waste is implied by its gain")
+        return Stage.passive(gain, label=label)
+    waste = _ratio(entry, "waste", where)
+    return Stage(gain=gain, waste=waste, label=label)
+
+
+def reference_require_gain(name: str, value: float) -> None:
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name}: gain must be positive and finite, got {value!r}")
+
+
+def reference_require_waste(name: str, value: float) -> None:
+    if not (value >= 1.0 and math.isfinite(value)):
+        raise ValueError(f"{name}: waste factor must be >= 1 and finite, got {value!r}")
+
+
+def reference_stage_init(self, gain: float, waste: float, label: str = "") -> None:
+    # the generated frozen __init__, then __post_init__
+    object.__setattr__(self, "gain", gain)
+    object.__setattr__(self, "waste", waste)
+    object.__setattr__(self, "label", label)
+    name = self.label or "stage"
+    _require_gain(name, self.gain)
+    _require_waste(name, self.waste)
+
+
+def reference_stage_passive(cls, gain: float, label: str = ""):
+    name = label or "passive stage"
+    if not (0.0 < gain <= 1.0):
+        raise ValueError(f"{name}: passive gain must be in (0, 1], got {gain!r}")
+    return cls(gain=gain, waste=1.0 / gain, label=label)
+
+
+def reference_require(name: str, value: float, *, minimum: float, exclusive: bool = False) -> None:
+    ok = value > minimum if exclusive else value >= minimum
+    if not (ok and math.isfinite(value)):
+        bound = ">" if exclusive else ">="
+        raise ValueError(f"{name} must be {bound} {minimum} and finite, got {value!r}")
+
+
+@contextmanager
+def reference_checks():
+    """Run the references in place of today's readers and checks.
+
+    The field tables hold the reader functions themselves, not their
+    names, so each function's code is swapped: every binding of it then
+    runs the reference.
+    """
+    swaps = [
+        (config._mapping, reference_mapping),
+        (config._num, reference_num),
+        (config._ratio, reference_ratio),
+        (config._parse_stage, reference_parse_stage),
+        (cascade_module._require_gain, reference_require_gain),
+        (cascade_module._require_waste, reference_require_waste),
+        (Stage.__init__, reference_stage_init),
+        (vars(Stage)["passive"].__func__, reference_stage_passive),
+        (energy_module._require, reference_require),
+    ]
+    saved = [fn.__code__ for fn, _ in swaps]
+    try:
+        for fn, reference in swaps:
+            fn.__code__ = reference.__code__
+        yield
+    finally:
+        for (fn, _), code in zip(swaps, saved):
+            fn.__code__ = code
+
+
+def outcome(fn, *args) -> str:
+    """The record's repr, or the ValueError's message."""
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def reference_outcome(fn, *args) -> str:
+    with reference_checks():
+        return outcome(fn, *args)
+
+
+# numbers, odd numbers and what is not a number at all
+ODD = st.one_of(
+    st.floats(),
+    st.integers(-3, 10**6),
+    st.booleans(),
+    st.sampled_from([10**400, -(10**400), math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-200, 4000.0]),
+    st.text(max_size=3),
+    st.none(),
+)
+NUMBERS = st.one_of(
+    st.floats(), st.integers(-3, 10**6), st.booleans(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+)
+VALUES = st.one_of(
+    st.floats(0.01, 1000.0),
+    st.floats(-40.0, 40.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 0.5, 10**400, True, None, "1"]),
+    ODD,
+)
+STAGE_ENTRIES = st.fixed_dictionaries(
+    {},
+    optional={
+        "label": st.one_of(st.just(""), st.text(max_size=3), st.none(), st.integers()),
+        "gain": VALUES,
+        "gain_db": VALUES,
+        "waste": VALUES,
+        "waste_db": VALUES,
+        "passive": st.one_of(st.booleans(), ODD),
+        "bogus": ODD,
+    },
+)
+
+
+def objects(node):
+    """Every object (dict) nested in ``node``, at any depth."""
+    for child in node.values() if isinstance(node, dict) else node:
+        if isinstance(child, (dict, list)):
+            yield from objects(child)
+            if isinstance(child, dict):
+                yield child
+
+
+@st.composite
+def mutated(draw, documents):
+    """A valid document with up to four fields changed, dropped, added or respelled.
+
+    The fields are those of the document's sections, or of the document
+    itself when it has none (a stage entry).
+    """
+    doc = copy.deepcopy(draw(documents))
+    for _ in range(draw(st.integers(0, 4))):
+        section = draw(st.sampled_from(list(objects(doc)) or [doc]))
+        key = draw(st.sampled_from(sorted(section))) if section else "label"
+        action = draw(st.sampled_from(["value", "drop", "unknown", "respell", "passive"]))
+        if action == "value":
+            section[key] = draw(VALUES)
+        elif action == "drop":
+            section.pop(key, None)
+        elif action == "unknown":
+            section[key + "_x"] = draw(VALUES)
+        elif action == "respell":
+            section[key[:-3] if key.endswith("_db") else key + "_db"] = draw(VALUES)
+        else:  # a passive stage given a waste, or a stage given a label
+            section[draw(st.sampled_from(["passive", "waste", "waste_db", "label"]))] = draw(
+                st.one_of(st.booleans(), st.just(""), VALUES)
+            )
+    return doc
+
+
+class TestReadersKeepTheirOutcome:
+    """Today's readers and checks give the record or the message the references give."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(entry=st.one_of(STAGE_ENTRIES, mutated(cascade_doc().map(lambda d: d["cascade"][0]))),
+           index=st.integers(0, 70))
+    def test_stage_entries(self, entry, index):
+        assert outcome(config._parse_stage, entry, index) == reference_outcome(
+            config._parse_stage, entry, index
+        )
+
+    @settings(max_examples=500, deadline=None)
+    @given(doc=mutated(st.one_of(link_doc(), relay_doc(), fwa_doc(), cascade_doc())))
+    def test_sections(self, doc):
+        assert outcome(parse_scenario, doc) == reference_outcome(parse_scenario, doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(gain=st.one_of(st.floats(0.01, 10.0), NUMBERS), waste=st.one_of(st.floats(1.0, 10.0), NUMBERS),
+           label=st.sampled_from(["", "lna"]))
+    def test_record_checks(self, gain, waste, label):
+        for build in (
+            lambda: Stage(gain, waste, label),
+            lambda: Stage.passive(gain, label),
+            lambda: EnergyContext(gain, waste, gain - 1.0),
+            lambda: LinkTerminals(waste, gain, gain),
+        ):
+            assert outcome(build) == reference_outcome(build)
+
+    def test_the_swap_runs_the_references(self):
+        # an int too large for a float, given to Stage directly (a parsed one is a
+        # float already): math.isfinite overflowed, the comparison names the stage
+        with reference_checks():
+            with pytest.raises(OverflowError):
+                Stage(10**400, 1.0)
+        with pytest.raises(ValueError, match=r"^stage: gain must be positive and finite, got 1000"):
+            Stage(10**400, 1.0)

@@ -114,6 +114,19 @@ def run_cli(kind, doc):
     return code, err.getvalue(), report
 
 
+SUBNORMAL_ALPHA_PLANAR = (  # alpha / 2 underflows to 0 in the planar sweep's row seeds
+    "relay",
+    {
+        "relay_scenario": {
+            "w_tx_source": 1.0, "w_tx_relay": 1.0, "g_rx_relay": 1.0, "g_rx_sink": 1.0,
+            "alpha": 5e-324, "k": 1.0, "d1": 1.0, "d2": 1.0, "d3": 1.0,
+            "energy": {"n0": 1.0, "capacity": 1.0},
+        },
+        "sweep": {"mode": "planar", "nx": 5, "ny": 5},
+    },
+)
+
+
 class TestCliEndsInFiniteReportOrNamedError:
     @settings(max_examples=300, deadline=None)
     @given(DOCS)
@@ -125,6 +138,11 @@ class TestCliEndsInFiniteReportOrNamedError:
         assert (report is not None) == (code == 0)
         if code == 1:
             assert err.splitlines()[-1].startswith("error: ")
+
+    def test_subnormal_alpha_planar_sweep(self):
+        code, err, report = run_cli(*SUBNORMAL_ALPHA_PLANAR)
+        assert code == 0, err
+        assert report is not None
 
     UNIT_RELAY = {
         "w_tx_source": 1.0, "w_tx_relay": 1.0, "g_rx_relay": 1.0, "g_rx_sink": 10.0,
