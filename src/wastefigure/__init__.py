@@ -5,126 +5,27 @@ signal (waste factor W, waste figure in dB), folds that into
 energy-per-bit and consumption-factor figures, and answers deployment
 questions built on them: how far a link stays efficient, whether a
 relay or access point saves energy, and where in space it does.
+
+Each module's ``__all__`` is the one list of its public names; the
+package republishes them all.
 """
 
-from __future__ import annotations
-
-from .cascade import (
-    Cascade,
-    ContributionReport,
-    Stage,
-    StageTerm,
-    cascade_waste,
-    compose_subsystems,
-    contribution_report,
-    stage_waste_two,
-)
-from .channel import PathLossChannel, channel_gain, channel_waste
-from .energy import (
-    ApproximationRegimeWarning,
-    EnergyContext,
-    LinkTerminals,
-    SnrSpec,
-    consumption_factor,
-    energy_per_bit_link,
-    energy_per_bit_min,
-    link_waste,
-    link_waste_approx,
-    max_efficient_distance,
-    min_consumed_power,
-    snr_min,
-    wideband_rate_limit,
-)
-from .fwa import (
-    FwaScenario,
-    FwaVerdict,
-    TrafficMix,
-    fwa_decision_holds,
-    fwa_direct_energy,
-    fwa_ellipse_axes,
-    fwa_ratio,
-    fwa_relayed_energy,
-    fwa_verdict,
-    rule_coefficients,
-)
-from .region import (
-    FeasibilityRegion,
-    GridSpec,
-    region_json_doc,
-    region_subset,
-    rle_decode,
-    sweep_fwa,
-    sweep_relay,
-    write_region_csv,
-    write_region_json,
-)
-from .relay import (
-    RelayScenario,
-    RelayVerdict,
-    decision_rule_holds,
-    direct_energy,
-    ellipse_axes,
-    relay_ratio,
-    relay_verdict,
-    relayed_energy,
-)
-from .units import db_to_linear, linear_to_db
+from . import cascade, channel, energy, fwa, region, relay, units
+from .cascade import *  # noqa: F401,F403
+from .channel import *  # noqa: F401,F403
+from .energy import *  # noqa: F401,F403
+from .fwa import *  # noqa: F401,F403
+from .region import *  # noqa: F401,F403
+from .relay import *  # noqa: F401,F403
+from .units import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApproximationRegimeWarning",
-    "Cascade",
-    "ContributionReport",
-    "EnergyContext",
-    "FeasibilityRegion",
-    "FwaScenario",
-    "FwaVerdict",
-    "GridSpec",
-    "LinkTerminals",
-    "PathLossChannel",
-    "RelayScenario",
-    "RelayVerdict",
-    "SnrSpec",
-    "Stage",
-    "StageTerm",
-    "TrafficMix",
-    "cascade_waste",
-    "channel_gain",
-    "channel_waste",
-    "compose_subsystems",
-    "consumption_factor",
-    "contribution_report",
-    "db_to_linear",
-    "decision_rule_holds",
-    "direct_energy",
-    "ellipse_axes",
-    "energy_per_bit_link",
-    "energy_per_bit_min",
-    "fwa_decision_holds",
-    "fwa_direct_energy",
-    "fwa_ellipse_axes",
-    "fwa_ratio",
-    "fwa_relayed_energy",
-    "fwa_verdict",
-    "linear_to_db",
-    "link_waste",
-    "link_waste_approx",
-    "max_efficient_distance",
-    "min_consumed_power",
-    "region_json_doc",
-    "region_subset",
-    "relay_ratio",
-    "relay_verdict",
-    "relayed_energy",
-    "rle_decode",
-    "rule_coefficients",
-    "snr_min",
-    "stage_waste_two",
-    "sweep_fwa",
-    "sweep_relay",
-    "wideband_rate_limit",
-    "write_region_csv",
-    "write_region_json",
-    "__version__",
-]
+__all__ = ["__version__"]
+__all__ += cascade.__all__
+__all__ += channel.__all__
+__all__ += energy.__all__
+__all__ += fwa.__all__
+__all__ += region.__all__
+__all__ += relay.__all__
+__all__ += units.__all__

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .units import FLOAT_MAX
+from .units import FLOAT_MAX, in_range
 
 __all__ = [
     "Stage",
@@ -42,12 +42,12 @@ _setattr = object.__setattr__  # how a frozen dataclass sets its own fields
 
 
 def _require_gain(name: str, value: float) -> None:
-    if not 0.0 < value <= FLOAT_MAX:
+    if not in_range(f"{name}: gain", value, 0.0, open_low=True):
         raise ValueError(f"{name}: gain must be positive and finite, got {value!r}")
 
 
 def _require_waste(name: str, value: float) -> None:
-    if not 1.0 <= value <= FLOAT_MAX:
+    if not in_range(f"{name}: waste factor", value, 1.0):
         raise ValueError(f"{name}: waste factor must be >= 1 and finite, got {value!r}")
 
 
@@ -65,7 +65,11 @@ class Stage:
     label: str = ""
 
     def __init__(self, gain: float, waste: float, label: str = "") -> None:
-        if not (0.0 < gain <= FLOAT_MAX and 1.0 <= waste <= FLOAT_MAX):
+        try:
+            valid = 0.0 < gain <= FLOAT_MAX and 1.0 <= waste <= FLOAT_MAX
+        except TypeError:  # a non-number: the checks below name the field
+            valid = False
+        if not valid:
             name = label or "stage"
             _require_gain(name, gain)
             _require_waste(name, waste)
@@ -81,10 +85,9 @@ class Stage:
 
         A passive element cannot amplify, so gain must lie in (0, 1].
         """
-        if not 0.0 < gain <= 1.0:
-            raise ValueError(
-                f"{label or 'passive stage'}: passive gain must be in (0, 1], got {gain!r}"
-            )
+        name = label or "passive stage"
+        if not in_range(f"{name}: passive gain", gain, 0.0, 1.0, open_low=True):
+            raise ValueError(f"{name}: passive gain must be in (0, 1], got {gain!r}")
         return cls(gain, 1.0 / gain, label)
 
 
@@ -111,7 +114,7 @@ class Cascade:
 
     def _waste_and_terms(self) -> tuple[float, tuple[float, ...]]:
         """``(W, terms)``: each stage's term (W_k - 1) / prod(G_i, i > k), sink first,
-        and W = 1 + their sum, added in that order. A term of inf is a ValueError.
+        and W = 1 + their sum, added in that order. A term or a W of inf is a ValueError.
 
         An ideal stage (W_k = 1) adds 0 whatever the gain after it, even
         where that gain product has underflowed to 0. Computed on the first
@@ -138,6 +141,11 @@ class Cascade:
             terms.append(term)
             total += term
             after *= st.gain
+        if total == inf:
+            raise ValueError(
+                "cascade waste W = 1 + sum of stage terms is outside the float range "
+                f"(each of the {len(terms)} terms is finite)"
+            )
         cached = (total, tuple(terms))
         _setattr(self, "_cached", cached)
         return cached
@@ -192,7 +200,6 @@ class StageTerm:
         _setattr(self, "label", label)  # written out, as in Stage: a report builds one per stage
         _setattr(self, "term", term)
         _setattr(self, "share", share)
-
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,10 @@ the power-law model ``G_ch = k / d**alpha``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .cascade import Stage
+from .units import in_range
 
 __all__ = ["PathLossChannel", "channel_gain", "channel_waste"]
 
@@ -31,10 +31,8 @@ class PathLossChannel:
     def __post_init__(self) -> None:
         for name in ("k", "alpha", "distance"):
             v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
-                raise ValueError(
-                    f"channel {name} must be positive and finite, got {v!r}"
-                )
+            if not in_range(f"channel {name}", v, 0.0, open_low=True):
+                raise ValueError(f"channel {name} must be positive and finite, got {v!r}")
         if self.gain() > 1.0:
             raise ValueError(
                 "channel gain k/d**alpha exceeds 1; the model describes "

@@ -49,12 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Waste-factor analysis of cascaded wireless systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("cascade", "waste factor and per-stage contributions of a chain"),
-        ("link", "end-to-end link waste, energy per bit, max efficient distance"),
-        ("relay", "relay-versus-direct energy comparison"),
-        ("fwa", "access-point-versus-direct comparison under a traffic mix"),
-    ):
+    for name, (help_text, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("file", help="scenario file (JSON)")
         cmd.add_argument("--json", dest="json_path", metavar="PATH",
@@ -199,11 +194,12 @@ def _cmd_two_hop(sf: config.ScenarioFile, args) -> tuple[list[str], dict]:
     return lines, doc
 
 
+# each command's help text and handler
 _COMMANDS = {
-    "cascade": _cmd_cascade,
-    "link": _cmd_link,
-    "relay": _cmd_two_hop,
-    "fwa": _cmd_two_hop,
+    "cascade": ("waste factor and per-stage contributions of a chain", _cmd_cascade),
+    "link": ("end-to-end link waste, energy per bit, max efficient distance", _cmd_link),
+    "relay": ("relay-versus-direct energy comparison", _cmd_two_hop),
+    "fwa": ("access-point-versus-direct comparison under a traffic mix", _cmd_two_hop),
 }
 
 
@@ -214,12 +210,12 @@ def _run(args) -> int:
             f"the {args.command} command needs a matching scenario section; "
             f"the file holds a {sf.kind} scenario"
         )
-    if args.command not in ("relay", "fwa"):
+    if args.command not in _TWO_HOP:
         if args.grid is not None:
             raise ValueError("--grid applies to the relay and fwa commands only")
         if args.csv_path or (sf.output and sf.output.csv):
             raise ValueError("csv output applies to region sweeps (relay/fwa)")
-    lines, doc = _COMMANDS[args.command](sf, args)
+    lines, doc = _COMMANDS[args.command][1](sf, args)
     json_path = args.json_path or (sf.output.json if sf.output else None)
     if json_path:
         with open(json_path, "w", encoding="utf-8") as fh:

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from .units import FLOAT_MAX
 
 __all__ = [
-    "LN2",
     "ApproximationRegimeWarning",
     "EnergyContext",
     "LinkTerminals",
@@ -69,8 +68,12 @@ def _check_regime(product: float, where: str) -> None:
 
 
 def _require(name: str, value: float, *, minimum: float, exclusive: bool = False) -> None:
-    if (minimum < value <= FLOAT_MAX) if exclusive else (minimum <= value <= FLOAT_MAX):
-        return
+    # units.in_range's check written out: this runs once per field of every record
+    try:
+        if (minimum < value <= FLOAT_MAX) if exclusive else (minimum <= value <= FLOAT_MAX):
+            return
+    except TypeError:
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
     bound = ">" if exclusive else ">="
     raise ValueError(f"{name} must be {bound} {minimum} and finite, got {value!r}")
 

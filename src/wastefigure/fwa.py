@@ -29,11 +29,11 @@ corresponding role assignment.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .energy import LN2, EnergyContext, _require
 from .relay import Rule, _bind_echo, _compare, _fixed_power_term, _hop_waste
+from .units import in_range
 
 __all__ = [
     "TrafficMix",
@@ -59,7 +59,7 @@ class TrafficMix:
     def __post_init__(self) -> None:
         for name in ("rho_u", "rho_d"):
             v = getattr(self, name)
-            if not (0.0 <= v <= 1.0) or not math.isfinite(v):
+            if not in_range(name, v, 0.0, 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {v!r}")
         if abs(self.rho_u + self.rho_d - 1.0) > 1e-12:
             raise ValueError(
@@ -69,7 +69,7 @@ class TrafficMix:
     @classmethod
     def from_uplink(cls, rho_u: float) -> "TrafficMix":
         """Build from the uplink share alone; the downlink share is implied."""
-        if not (0.0 <= rho_u <= 1.0) or not math.isfinite(rho_u):
+        if not in_range("rho_u", rho_u, 0.0, 1.0):
             raise ValueError(f"rho_u must be in [0, 1], got {rho_u!r}")
         return cls(rho_u=rho_u, rho_d=1.0 - rho_u)
 

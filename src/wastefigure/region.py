@@ -45,6 +45,7 @@ import numpy as np
 
 from .fwa import FwaScenario
 from .relay import RelayScenario
+from .units import in_range
 
 __all__ = [
     "GridSpec",
@@ -93,7 +94,7 @@ class GridSpec:
             n = getattr(self, name)
             if not isinstance(n, int) or isinstance(n, bool) or n < 2:
                 raise ValueError(f"{name} must be an integer >= 2, got {n!r}")
-        if not (self.d3 > 0.0 and math.isfinite(self.d3)):
+        if not in_range("d3", self.d3, 0.0, open_low=True):
             raise ValueError(f"d3 must be positive and finite, got {self.d3!r}")
 
     @classmethod

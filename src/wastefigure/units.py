@@ -17,6 +17,17 @@ __all__ = ["db_to_linear", "linear_to_db"]
 FLOAT_MAX = sys.float_info.max
 
 
+def in_range(
+    name: str, value: float, low: float, high: float = FLOAT_MAX, *, open_low: bool = False
+) -> bool:
+    """``low <= value <= high`` (``low < value`` if open_low); a non-number, on
+    which the comparison raises a bare TypeError, is a ValueError naming ``name``."""
+    try:
+        return (low < value <= high) if open_low else (low <= value <= high)
+    except TypeError:
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
 def db_to_linear(value_db: float) -> float:
     """Convert a power quantity in dB to a linear ratio."""
     if not math.isfinite(value_db):

@@ -11,8 +11,11 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,8 +25,11 @@ from wastefigure import (
     Cascade,
     EnergyContext,
     FwaScenario,
+    GridSpec,
     LinkTerminals,
+    PathLossChannel,
     RelayScenario,
+    SnrSpec,
     Stage,
     TrafficMix,
     cascade_waste,
@@ -251,3 +257,73 @@ class TestVerdictIsTheMarginSign:
             assert v.use_ap == (v.decision_margin > 0.0)
         values = (v.e_direct, v.e_relayed, v.ratio, v.decision_margin)
         assert all(math.isfinite(x) for x in values)
+
+
+class TestCascadeSumOverflowIsNamed:
+    """Each term is finite, but W = 1 + their sum overflows: a named error, not W = inf."""
+
+    STAGES = [{"label": "a", "gain": 1.0, "waste": 1.7e308}, {"label": "b", "gain": 1.0, "waste": 1.7e308}]
+    NAMED = "cascade waste W = 1 + sum of stage terms is outside the float range"
+
+    def test_library(self):
+        c = Cascade(tuple(Stage(**stage) for stage in self.STAGES))
+        for fn in (cascade_waste, contribution_report):
+            with pytest.raises(ValueError, match=rf"^{self.NAMED.replace('+', '[+]')}"):
+                fn(c)
+
+    def test_cli_exits_1(self, tmp_path):
+        path = tmp_path / "cascade.json"
+        path.write_text(json.dumps({"cascade": self.STAGES}))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "wastefigure.cli", "cascade", str(path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"error: {self.NAMED} (each of the 2 terms is finite)"]
+        assert "Traceback" not in proc.stderr
+
+
+CTX = EnergyContext(n0=1e-20, capacity=1e8)
+# each record's constructor with valid arguments; every float among them is a numeric field
+RECORDS = {
+    Stage: dict(gain=2.0, waste=1.5),
+    Stage.passive: dict(gain=0.5),
+    EnergyContext: dict(n0=1e-20, capacity=1e8, p_np=0.0),
+    LinkTerminals: dict(w_tx=2.0, w_rx=1.5, g_rx=10.0),
+    SnrSpec: dict(spectral_efficiency=2.0, margin=1.0),
+    PathLossChannel: dict(k=1.0, alpha=2.0, distance=10.0),
+    TrafficMix: dict(rho_u=0.5, rho_d=0.5),
+    TrafficMix.from_uplink: dict(rho_u=0.5),
+    GridSpec: dict(d3=1.0),
+    RelayScenario: dict(
+        w_tx_source=1.0, w_tx_relay=2.0, g_rx_relay=1e3, g_rx_sink=10.0,
+        alpha=6.0, d1=0.5, d2=0.5, d3=1.0, ctx=CTX, k=1.0,
+    ),
+    FwaScenario: dict(
+        w_tx_ue=3.0, w_tx_bs=15.0, w_tx_ap=10.0, g_rx_ue=10.0, g_rx_bs=30.0, g_rx_ap=10.0,
+        traffic=TrafficMix(0.5, 0.5), alpha=3.0, d1=0.5, d2=0.5, d3=1.0, ctx=CTX, k=1.0,
+    ),
+}
+NUMERIC_FIELDS = [
+    pytest.param(build, name, id=f"{build.__qualname__}.{name}")
+    for build, kwargs in RECORDS.items()
+    for name, value in kwargs.items()
+    if isinstance(value, float)
+]
+
+
+class TestNonNumberFieldsAreNamed:
+    def test_valid_arguments_build(self):
+        for build, kwargs in RECORDS.items():
+            build(**kwargs)
+
+    @pytest.mark.parametrize("bad", ["1", None])
+    @pytest.mark.parametrize("build, name", NUMERIC_FIELDS)
+    def test_non_number_is_a_value_error_naming_the_field(self, build, name, bad):
+        with pytest.raises(ValueError) as raised:
+            build(**dict(RECORDS[build], **{name: bad}))
+        message = str(raised.value)
+        assert name in message
+        assert message.endswith(f"must be a number, got {bad!r}")
