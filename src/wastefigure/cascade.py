@@ -218,10 +218,9 @@ class ContributionReport:
 
 def contribution_report(c: Cascade) -> ContributionReport:
     """Break a cascade's waste factor into per-stage additive terms."""
-    raw = c._waste_and_terms()[1][::-1]  # source-to-sink so the descending sort ties stay stable
+    total, raw = c._waste_and_terms()
+    raw = raw[::-1]  # source-to-sink so the descending sort ties stay stable
     labels = [st.label or f"stage {idx}" for idx, st in enumerate(c.stages, 1)]
-
-    total = 1.0 + sum(raw)
     excess = total - 1.0
     if excess > 0.0:
         terms = [StageTerm(label, t, t / excess) for label, t in zip(labels, raw)]

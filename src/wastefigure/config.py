@@ -13,7 +13,8 @@ fields so a re-parsed echo reproduces the scenario exactly.
 The field tables (``_ENERGY``, ``_TERMINALS``, ``_PATH_LOSS``, ``_LINK``,
 ``_RELAY``, ``_FWA``, ``_OUTPUT``) are the one list of each section's
 accepted fields, spellings and defaults. Their rows drive parsing, the
-unknown-key check and the echo, in echo order.
+unknown-key check and the echo, in echo order. The link, relay and FWA
+tables share the one ``_ENERGY`` table as their ``energy`` row.
 """
 
 from __future__ import annotations
@@ -201,9 +202,8 @@ class _Table:
 
     suffixes = ("",)
 
-    def __init__(self, cls, *rows, noun: str = "section"):
+    def __init__(self, cls, *rows):
         rows = [row + (None, row[0])[len(row) - 2 :] for row in rows]
-        self.noun = noun
         self.allowed = frozenset(key + s for key, reader, *_ in rows for s in reader.suffixes)
         # compiled to one constructor call and one dict display: row loops took twice as long
         env = {"cls": cls}
@@ -220,7 +220,7 @@ class _Table:
 
     def read(self, section: dict, key: str, where: str, default):
         if key not in section:
-            return _absent(default, where, f"{self.noun} {key}")
+            return _absent(default, where, f"section {key}")
         return self.record(section[key], f"{where}.{key}")
 
     def echo(self, record, attr: str) -> dict:
@@ -234,8 +234,7 @@ _PATH = _Reader(_read_path)
 _UPLINK = _Reader(lambda *a: TrafficMix.from_uplink(_num(*a)), echo=lambda s, _: s.traffic.rho_u)
 
 _PATH_LOSS = _Table(PathLossChannel, ("k", _NUM), ("alpha", _NUM), ("distance", _NUM))
-_ENERGY_ROWS = (("n0", _NUM), ("capacity", _SHARED), ("p_np", _SHARED, 0.0))
-_ENERGY = _Table(EnergyContext, *_ENERGY_ROWS)
+_ENERGY = _Table(EnergyContext, ("n0", _NUM), ("capacity", _SHARED), ("p_np", _SHARED, 0.0))
 _TERMINALS = _Table(LinkTerminals, ("w_tx", _RATIO), ("w_rx", _RATIO), ("g_rx", _RATIO))
 _LINK = _Table(
     lambda terminals, channel, ctx: LinkSetup(ctx, terminals, *channel),
@@ -257,8 +256,7 @@ _FWA = _Table(
     ("g_rx_ue", _RATIO), ("g_rx_bs", _RATIO), ("g_rx_ap", _RATIO),
     ("rho_u", _UPLINK, None, "traffic"),
     *_GEOMETRY,
-    # FWA files have always called a missing energy section a field
-    ("energy", _Table(EnergyContext, *_ENERGY_ROWS, noun="field"), None, "ctx"),
+    ("energy", _ENERGY, None, "ctx"),
 )
 _OUTPUT = _Table(OutputSpec, ("csv", _PATH), ("json", _PATH))
 

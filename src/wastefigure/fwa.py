@@ -147,7 +147,7 @@ def fwa_relayed_energy(s: FwaScenario) -> float:
 
 def fwa_ratio(s: FwaScenario) -> float:
     """Assisted over direct energy per bit; below 1 means the AP wins."""
-    return fwa_relayed_energy(s) / fwa_direct_energy(s)
+    return fwa_verdict(s).ratio
 
 
 def rule_coefficients(s: FwaScenario) -> tuple[float, float]:

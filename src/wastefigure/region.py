@@ -37,7 +37,6 @@ reads ``FeasibilityRegion.mask`` (the CSV writer, ``region_subset``).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -45,7 +44,7 @@ import numpy as np
 
 from .fwa import FwaScenario
 from .relay import RelayScenario
-from .units import in_range
+from .units import FLOAT_MAX, in_range
 
 __all__ = [
     "GridSpec",
@@ -79,12 +78,13 @@ class GridSpec:
         for name in ("x_range", "y_range"):
             rng = getattr(self, name)
             try:
-                lo, hi = (float(rng[0]), float(rng[1]))
-            except (TypeError, ValueError, IndexError):
+                lo, hi = rng
+            except (TypeError, ValueError):
                 raise ValueError(f"{name} must be a (low, high) pair, got {rng!r}") from None
-            object.__setattr__(self, name, (lo, hi))
-            if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+            if not (in_range(name, lo, -FLOAT_MAX) and in_range(name, hi, lo, open_low=True)):
                 raise ValueError(f"{name} must satisfy low < high, got {rng!r}")
+            lo, hi = float(lo), float(hi)
+            object.__setattr__(self, name, (lo, hi))
             if self.mode == "normalized" and lo < 0.0:
                 raise ValueError(
                     f"{name}: normalized coordinates are distance ratios and "

@@ -221,7 +221,7 @@ def relayed_energy(s: RelayScenario) -> float:
 
 def relay_ratio(s: RelayScenario) -> float:
     """Relayed over direct energy per bit; below 1 means the relay wins."""
-    return relayed_energy(s) / direct_energy(s)
+    return relay_verdict(s).ratio
 
 
 def decision_rule_holds(s: RelayScenario, include_pnp: bool = False) -> bool:

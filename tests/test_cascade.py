@@ -309,10 +309,10 @@ def reference_cascade_waste(c):
 
 
 def reference_report(c):
-    """``(total_waste, [(label, term, share), ...])`` as contribution_report built them."""
+    """``(total_waste, [(label, term, share), ...])``; total_waste is the cascade's W."""
     raw = reference_terms(c)
     raw.reverse()
-    total = 1.0 + sum(raw)
+    total = reference_cascade_waste(c)
     excess = total - 1.0
     if excess > 0.0:
         terms = [(reference_label(c, idx), t, t / excess) for idx, t in enumerate(raw)]

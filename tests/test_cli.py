@@ -106,6 +106,18 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="d2"):
             load_scenario(scenario({"relay_scenario": body}))
 
+    @pytest.mark.parametrize("command, section", [
+        ("link", "link"), ("relay", "relay_scenario"), ("fwa", "fwa_scenario"),
+    ])
+    def test_missing_energy_section(self, scenario, capsys, command, section):
+        demo = Path(__file__).resolve().parent.parent / "scenarios" / f"{command}.json"
+        doc = json.loads(demo.read_text())
+        del doc[section]["energy"]
+        code, out, err = run(capsys, command, scenario(doc))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1] == f"error: {section}: missing required section energy"
+
     def test_boolean_is_not_a_number(self, scenario):
         body = dict(RELAY_BODY, alpha=True)
         with pytest.raises(ValueError, match="alpha"):

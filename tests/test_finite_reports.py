@@ -35,11 +35,14 @@ from wastefigure import (
     cascade_waste,
     contribution_report,
     decision_rule_holds,
+    fwa_ratio,
     fwa_verdict,
     max_efficient_distance,
+    relay_ratio,
     relay_verdict,
 )
 from wastefigure.cli import main
+from wastefigure.config import parse_scenario
 
 VALUES = st.one_of(
     st.floats(-320.0, 308.0).map(lambda e: 10.0**e),
@@ -197,6 +200,13 @@ class TestCliEndsInFiniteReportOrNamedError:
         assert code == 1
         assert err.splitlines()[-1].startswith(f"error: {named}")
         assert "outside the float range" in err.splitlines()[-1]
+        ratio = {"relay": relay_ratio, "fwa": fwa_ratio}.get(kind)
+        if ratio is not None:  # the library's ratio raises the verdict's error, not ZeroDivisionError
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ApproximationRegimeWarning)
+                with pytest.raises(ValueError) as raised:
+                    ratio(getattr(parse_scenario(doc), kind))
+            assert f"error: {raised.value}" == err.splitlines()[-1]
 
 
 class TestLibraryNamedErrors:

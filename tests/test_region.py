@@ -87,17 +87,41 @@ class TestGridSpec:
         assert spec.y_range == (-1.5, 1.5)
         assert spec.d3 == 2.0
 
-    def test_normalized_rejects_negative_axes(self):
-        with pytest.raises(ValueError, match="negative"):
-            GridSpec(x_range=(-0.5, 1.0))
+    @pytest.mark.parametrize("bad", [(-0.5, 1.0), [-1, 1]])
+    def test_normalized_rejects_negative_axes(self, bad):
+        with pytest.raises(ValueError) as raised:
+            GridSpec(x_range=bad)
+        assert str(raised.value) == (
+            "x_range: normalized coordinates are distance ratios and cannot be negative, "
+            f"got lower bound {float(bad[0])!r}"
+        )
 
     def test_planar_allows_negative_axes(self):
-        GridSpec(mode="planar", x_range=(-0.5, 1.0), y_range=(-1.0, 1.0))
+        spec = GridSpec(mode="planar", x_range=[-1, 2], y_range=(-1.0, 1))
+        # lists and ints come out as float tuples
+        assert spec.x_range == (-1.0, 2.0) and spec.y_range == (-1.0, 1.0)
+        assert {type(v) for v in spec.x_range + spec.y_range} == {float}
 
-    @pytest.mark.parametrize("bad", [(1.0, 1.0), (2.0, 1.0)])
-    def test_range_must_increase(self, bad):
-        with pytest.raises(ValueError, match="low < high"):
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ((1.0, 1.0), "must satisfy low < high, got (1.0, 1.0)"),
+            ((2.0, 1.0), "must satisfy low < high, got (2.0, 1.0)"),
+            ((0.0, math.inf), "must satisfy low < high, got (0.0, inf)"),
+            ((0.0, 10**400), f"must satisfy low < high, got (0.0, {10**400!r})"),
+            (("0", "1.5"), "must be a number, got '0'"),
+            ((0.0, "1"), "must be a number, got '1'"),
+            ((None, 1.0), "must be a number, got None"),
+            ((0.0,), "must be a (low, high) pair, got (0.0,)"),
+            ((0.0, 1.0, 2.0), "must be a (low, high) pair, got (0.0, 1.0, 2.0)"),
+            (1.0, "must be a (low, high) pair, got 1.0"),
+        ],
+        ids=["equal", "decreasing", "inf", "huge-int", "str", "str-high", "none", "one", "three", "scalar"],
+    )
+    def test_range_must_increase(self, bad, message):
+        with pytest.raises(ValueError) as raised:
             GridSpec(x_range=bad)
+        assert str(raised.value) == f"x_range {message}"
 
     @pytest.mark.parametrize("n", [1, 0, -3, 2.5, True])
     def test_grid_size_validation(self, n):
