@@ -10,7 +10,7 @@ Each module's ``__all__`` is the one list of its public names; the
 package republishes them all.
 """
 
-from . import cascade, channel, energy, fwa, region, relay, units
+from . import cascade, channel, config, energy, fwa, region, relay, units  # config binds echoes
 from .cascade import *  # noqa: F401,F403
 from .channel import *  # noqa: F401,F403
 from .energy import *  # noqa: F401,F403

@@ -131,19 +131,17 @@ def _shared_direction_value(section: dict, base: str, where: str, default) -> fl
     assumes they are equal and rejects anything else.
     """
     up, down = f"{base}_uplink", f"{base}_downlink"
-    shared = _num(section, base, where) if base in section else None
-    if up not in section and down not in section:
-        return _absent(default, where, f"field {base}") if shared is None else shared
-    if up not in section or down not in section:
+    if (up in section) != (down in section):
         raise ValueError(f"{where}: give both {up} and {down}, or just {base}")
-    v_up = _num(section, up, where)
-    v_down = _num(section, down, where)
+    if up not in section:
+        return _num(section, base, where, default)
+    v_up, v_down = _num(section, up, where), _num(section, down, where)
     if v_up != v_down:
         raise ValueError(
             f"{where}: {up} and {down} must be equal (the energy comparison "
             f"assumes shared values), got {v_up!r} and {v_down!r}"
         )
-    if shared is not None and shared != v_up:
+    if base in section and _num(section, base, where) != v_up:
         raise ValueError(f"{where}: {base} disagrees with its per-direction fields")
     return v_up
 
@@ -260,8 +258,8 @@ _FWA = _Table(
 )
 _OUTPUT = _Table(OutputSpec, ("csv", _PATH), ("json", _PATH))
 
-# The two-hop records echo through their tables, bound here once; until this
-# module is imported their ``_config`` is relay._bind_echo, which imports it.
+# The two-hop records echo through their tables, bound here once; the package
+# imports this module, so every record has its ``_config``.
 RelayScenario._config = _RELAY.config
 FwaScenario._config = _FWA.config
 
@@ -359,6 +357,6 @@ def load_scenario(path) -> ScenarioFile:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad syntax, bytes or nesting depth
             raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     return parse_scenario(data)

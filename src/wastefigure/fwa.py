@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .energy import LN2, EnergyContext, _require
-from .relay import Rule, _bind_echo, _compare, _fixed_power_term, _hop_waste
+from .relay import Rule, _compare, _fixed_power_term, _hop_waste
 from .units import in_range
 
 __all__ = [
@@ -109,11 +109,9 @@ class FwaScenario:
         b_num = t.rho_u * self.w_tx_ap / self.g_rx_bs + t.rho_d * self.w_tx_ap / self.g_rx_ue
         return Rule(a_num / den, b_num / den, _fixed_power_term(self.ctx, self.k, den), self.alpha)
 
-    _config = _bind_echo  # replaced by the field table's echo when config is imported
-
     def to_config(self) -> dict:
         """Scenario as a config mapping (linear units, re-parseable)."""
-        return {"fwa_scenario": self._config()}
+        return {"fwa_scenario": self._config()}  # _config: bound by config's field table
 
 
 @dataclass(frozen=True)

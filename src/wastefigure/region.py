@@ -134,6 +134,10 @@ class FeasibilityRegion:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (spec.nx, spec.ny):
             raise ValueError(f"mask shape {mask.shape} does not match the {spec.nx}x{spec.ny} grid")
+        if area_fraction != mask.mean():
+            raise ValueError(
+                f"area_fraction {area_fraction!r} is not the mask's mean {float(mask.mean())!r}"
+            )
         self._fill(spec, area_fraction, scenario, _rle_encode(mask.ravel()))
 
     @classmethod
@@ -290,17 +294,15 @@ def write_region_csv(region: FeasibilityRegion, path) -> None:
     """Write the sweep as CSV rows x,y,advantageous (floats at full precision).
 
     Each ``,y,flag`` line tail is formatted once per sweep and each x once
-    per row; a grid row is one join of its tails, streamed to the file.
+    per row; a grid row joins the tails its mask row picks, streamed to the file.
     """
     ys = region.spec.y_points().tolist()
-    tail0 = [f",{y:.17g},0\n" for y in ys]
-    tail1 = [f",{y:.17g},1\n" for y in ys]
+    tails = np.array([[f",{y:.17g},{m}\n" for y in ys] for m in (0, 1)], dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,y,advantageous\n")
-        for x, row in zip(region.spec.x_points().tolist(), region.mask.tolist()):
+        for x, row in zip(region.spec.x_points().tolist(), region.mask):
             prefix = f"{x:.17g}"
-            tails = [t1 if m else t0 for t0, t1, m in zip(tail0, tail1, row)]
-            fh.write(prefix + prefix.join(tails))
+            fh.write(prefix + prefix.join(np.where(row, tails[1], tails[0]).tolist()))
 
 
 def _rle_encode(flat: np.ndarray) -> tuple[int, list[int]]:

@@ -45,13 +45,6 @@ __all__ = [
 ]
 
 
-def _bind_echo(record) -> dict:
-    """Echo a two-hop record on first use: importing config binds its field table."""
-    from . import config  # noqa: F401  (config imports this module, so not at the top)
-
-    return record._config()
-
-
 @dataclass(frozen=True)
 class RelayScenario:
     """Hardware, geometry and operating point of a relay comparison.
@@ -89,11 +82,9 @@ class RelayScenario:
             self.alpha,
         )
 
-    _config = _bind_echo  # replaced by the field table's echo when config is imported
-
     def to_config(self) -> dict:
         """Scenario as a config mapping (linear units, re-parseable)."""
-        return {"relay_scenario": self._config()}
+        return {"relay_scenario": self._config()}  # _config: bound by config's field table
 
 
 @dataclass(frozen=True)

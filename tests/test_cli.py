@@ -168,10 +168,28 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
             load_scenario(scenario(doc))
 
-    def test_per_direction_fields_must_agree(self, scenario):
-        energy = {"n0": 1e-20, "capacity_uplink": 1e8, "capacity_downlink": 2e8}
-        body = dict(FWA_BODY, energy=energy)
-        with pytest.raises(ValueError, match="capacity_uplink"):
+    @pytest.mark.parametrize(
+        "fields, error",
+        [
+            ({"capacity_uplink": 1e8, "capacity_downlink": 2e8}, "capacity_uplink"),
+            ({"capacity_uplink": 1e8}, "give both capacity_uplink and capacity_downlink"),
+            ({"capacity": 1e8, "p_np_downlink": 0.5}, "give both p_np_uplink and p_np_downlink"),
+            # a missing direction is reported before the shared field's own number error
+            ({"capacity": "x", "capacity_uplink": 1e8}, "give both capacity_uplink"),
+            (
+                {"capacity": 2e8, "capacity_uplink": 1e8, "capacity_downlink": 1e8},
+                "capacity disagrees with its per-direction fields",
+            ),
+            ({"capacity": 1e8, "capacity_uplink": 1e8, "capacity_downlink": 1e8}, None),
+        ],
+        ids=["unequal", "one-side", "one-side-p_np", "one-side-first", "disagrees", "all-equal"],
+    )
+    def test_per_direction_fields_must_agree(self, scenario, fields, error):
+        body = dict(FWA_BODY, energy={"n0": 1e-20, **fields})
+        if error is None:
+            assert load_scenario(scenario({"fwa_scenario": body})).fwa.ctx.capacity == 1e8
+            return
+        with pytest.raises(ValueError, match=error):
             load_scenario(scenario({"fwa_scenario": body}))
 
     def test_per_direction_fields_accepted_when_equal(self, scenario):
@@ -211,11 +229,17 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="relay_scenario and fwa_scenario"):
             load_scenario(scenario(doc))
 
-    def test_invalid_json_names_path(self, tmp_path):
+    @pytest.mark.parametrize(
+        "content",
+        [b"{not json", b"[" * 100_000 + b"]" * 100_000, b"\xff{}"],
+        ids=["syntax", "too-deep", "not-utf-8"],
+    )
+    def test_invalid_json_names_path(self, tmp_path, content):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ValueError, match="not valid JSON"):
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match="not valid JSON") as info:
             load_scenario(str(path))
+        assert str(info.value).startswith(f"{path}: ")
 
 
 class TestCascadeCommand:

@@ -830,6 +830,13 @@ class TestIntervalRuns:
                 area_fraction=0.0, scenario=relay_scn(),
             )
 
+    def test_hand_built_area_must_match_the_mask(self):
+        with pytest.raises(ValueError, match="area_fraction 0.9 is not the mask's mean 0.0"):
+            FeasibilityRegion(
+                spec=GridSpec(nx=3, ny=4), mask=np.zeros((3, 4), dtype=bool),
+                area_fraction=0.9, scenario=relay_scn(),
+            )
+
     def test_doc_runs_are_a_copy(self):
         region = sweep_relay(relay_scn(), GridSpec(nx=21, ny=13))
         region_json_doc(region)["mask"]["runs"].append(1)
