@@ -7,7 +7,8 @@ Usage:
 
 stdout carries the report (numbers at 4 significant figures), stderr
 carries diagnostics. Machine-readable outputs hold full precision.
-Exit codes: 0 on success, 1 on validation errors, 2 on I/O errors.
+Exit codes: 0 on success, 1 on validation errors or too little memory,
+2 on I/O errors.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .energy import (
     max_efficient_distance,
 )
 from .fwa import fwa_ellipse_axes, fwa_verdict
-from .region import GridSpec, sweep_fwa, sweep_relay, region_json_doc, write_region_csv
+from .region import sweep_fwa, sweep_relay, region_json_doc, write_region_csv
 from .relay import ellipse_axes, relay_verdict
 from .units import linear_to_db
 
@@ -85,7 +86,7 @@ def _noted(fn, *args, **kwargs):
                 print(f"note: {w.message}", file=sys.stderr)
 
 
-def _cmd_cascade(sf: config.ScenarioFile, args) -> tuple[list[str], dict]:
+def _cmd_cascade(sf: config.ScenarioFile) -> tuple[list[str], dict]:
     c: Cascade = sf.cascade
     rep = contribution_report(c)
     wf_db = _db("cascade waste W", rep.total_waste)
@@ -105,7 +106,7 @@ def _cmd_cascade(sf: config.ScenarioFile, args) -> tuple[list[str], dict]:
     return lines, doc
 
 
-def _cmd_link(sf: config.ScenarioFile, args) -> tuple[list[str], dict]:
+def _cmd_link(sf: config.ScenarioFile) -> tuple[list[str], dict]:
     setup = sf.link
     w_exact = link_waste(setup.terminals, setup.g_ch)
     w_approx = link_waste_approx(setup.terminals, setup.g_ch)
@@ -151,7 +152,7 @@ _TWO_HOP = {
 }
 
 
-def _cmd_two_hop(sf: config.ScenarioFile, args) -> tuple[list[str], dict]:
+def _cmd_two_hop(sf: config.ScenarioFile) -> tuple[list[str], dict]:
     verdict_fn, axes_fn, sweep_fn, decision, label, show_mix = _TWO_HOP[sf.kind]
     s = getattr(sf, sf.kind)
     v = _noted(verdict_fn, s)
@@ -173,12 +174,7 @@ def _cmd_two_hop(sf: config.ScenarioFile, args) -> tuple[list[str], dict]:
         report["ellipse"] = {"a": a, "b": b}
     doc = {"scenario": s.to_config(), "report": report}
     spec = sf.sweep
-    if args.grid is not None:
-        spec = dataclasses.replace(spec or GridSpec(), nx=args.grid[0], ny=args.grid[1])
-    csv_path = args.csv_path or (sf.output.csv if sf.output else None)
     if spec is None:
-        if csv_path:
-            raise ValueError("csv output requires a sweep (add a sweep section or --grid)")
         return lines, doc
     region = sweep_fn(s, spec)
     lines.append(
@@ -188,9 +184,9 @@ def _cmd_two_hop(sf: config.ScenarioFile, args) -> tuple[list[str], dict]:
     region_doc = region_json_doc(region)
     doc["region"] = {k: region_doc[k] for k in ("grid", "area_fraction", "mask")}
     report["area_fraction"] = region.area_fraction
-    if csv_path:
-        write_region_csv(region, csv_path)
-        print(f"wrote region CSV: {csv_path}", file=sys.stderr)
+    if sf.output.csv:
+        write_region_csv(region, sf.output.csv)
+        print(f"wrote region CSV: {sf.output.csv}", file=sys.stderr)
     return lines, doc
 
 
@@ -210,17 +206,24 @@ def _run(args) -> int:
             f"the {args.command} command needs a matching scenario section; "
             f"the file holds a {sf.kind} scenario"
         )
+    # a flag means its file section; --grid sets nx/ny of the sweep, or of an empty one
+    sweep = sf.sweep
+    csv_path, json_path = args.csv_path or sf.output.csv, args.json_path or sf.output.json
     if args.command not in _TWO_HOP:
         if args.grid is not None:
             raise ValueError("--grid applies to the relay and fwa commands only")
-        if args.csv_path or (sf.output and sf.output.csv):
+        if csv_path:
             raise ValueError("csv output applies to region sweeps (relay/fwa)")
-    lines, doc = _COMMANDS[args.command][1](sf, args)
-    json_path = args.json_path or (sf.output.json if sf.output else None)
+    elif args.grid is not None:
+        sweep = sweep or config._parse_sweep({}, getattr(sf, sf.kind).d3)
+        sweep = dataclasses.replace(sweep, nx=args.grid[0], ny=args.grid[1])
+    if csv_path and sweep is None:
+        raise ValueError("csv output requires a sweep (add a sweep section or --grid)")
+    sf = dataclasses.replace(sf, sweep=sweep, output=config.OutputSpec(csv_path, json_path))
+    lines, doc = _COMMANDS[args.command][1](sf)
     if json_path:
         with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(doc, indent=2) + "\n")
         print(f"wrote JSON report: {json_path}", file=sys.stderr)
     if not args.quiet:
         print("\n".join(lines))
@@ -231,12 +234,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (OSError, ValueError, MemoryError) as exc:
+        prefix = "not enough memory: " if isinstance(exc, MemoryError) else ""
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return 2 if isinstance(exc, OSError) else 1
 
 
 if __name__ == "__main__":

@@ -73,7 +73,7 @@ class ScenarioFile:
     relay: RelayScenario | None = None
     fwa: FwaScenario | None = None
     sweep: GridSpec | None = None
-    output: OutputSpec | None = None
+    output: OutputSpec = OutputSpec()  # no paths when the file has no output section
 
 
 def _mapping(value, allowed, where: str) -> dict:
@@ -346,7 +346,7 @@ def parse_scenario(data) -> ScenarioFile:
     kind, parse = _KINDS[present[0]]
     record = parse(data[present[0]], present[0])
     sweep = _parse_sweep(data["sweep"], getattr(record, "d3", 1.0)) if "sweep" in data else None
-    output = _OUTPUT.record(data["output"], "output") if "output" in data else None
+    output = _OUTPUT.record(data["output"], "output") if "output" in data else ScenarioFile.output
     if sweep is not None and kind not in ("relay", "fwa"):
         raise ValueError("sweep sections apply to relay_scenario and fwa_scenario only")
     return ScenarioFile(kind=kind, sweep=sweep, output=output, **{kind: record})

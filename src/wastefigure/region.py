@@ -84,6 +84,8 @@ class GridSpec:
             if not (in_range(name, lo, -FLOAT_MAX) and in_range(name, hi, lo, open_low=True)):
                 raise ValueError(f"{name} must satisfy low < high, got {rng!r}")
             lo, hi = float(lo), float(hi)
+            if hi - lo > FLOAT_MAX:  # np.linspace would space the points by inf
+                raise ValueError(f"{name} must have a finite span high - low, got {rng!r}")
             object.__setattr__(self, name, (lo, hi))
             if self.mode == "normalized" and lo < 0.0:
                 raise ValueError(

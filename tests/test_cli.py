@@ -515,6 +515,44 @@ class TestFwaCommand:
         assert parse_scenario(echoed).fwa == load_scenario(path).fwa
 
 
+class TestFlagsMeanTheirSections:
+    """--grid, --csv and --json write what the file's sweep and output sections write."""
+
+    @pytest.mark.parametrize("mode", [None, "normalized", "planar"])
+    @pytest.mark.parametrize("command, section, d3", [
+        ("fwa", "fwa_scenario", 1.0), ("relay", "relay_scenario", 3.7),
+    ])
+    def test_same_bytes(self, scenario, tmp_path, capsys, command, section, d3, mode):
+        demo = Path(__file__).resolve().parent.parent / "scenarios" / f"{command}.json"
+        doc = json.loads(demo.read_text())
+        doc[section]["d3"] = d3
+        sweep = {} if mode is None else {"mode": mode}  # None: no sweep section with --grid
+        flags = dict(doc, sweep=sweep) if sweep else doc
+        a, b = tmp_path / "a", tmp_path / "b"
+        code_a, out_a, _ = run(
+            capsys, command, scenario(flags),
+            "--grid", "41", "41", "--csv", f"{a}.csv", "--json", f"{a}.json",
+        )
+        sections = dict(doc, sweep=dict(sweep, nx=41, ny=41),
+                        output={"csv": f"{b}.csv", "json": f"{b}.json"})
+        code_b, out_b, _ = run(capsys, command, scenario(sections))
+        assert code_a == code_b == 0
+        assert out_a == out_b
+        for ext in ("csv", "json"):
+            assert Path(f"{a}.{ext}").read_bytes() == Path(f"{b}.{ext}").read_bytes()
+        assert json.loads(Path(f"{a}.json").read_text())["region"]["grid"]["d3"] == d3
+
+    def test_csv_without_sweep_fails_before_the_verdict(self, scenario, tmp_path, capsys):
+        doc = {"relay_scenario": RELAY_BODY, "output": {"csv": str(tmp_path / "region.csv")}}
+        code, out, err = run(capsys, "relay", scenario(doc))
+        assert code == 1
+        assert out == ""
+        # no regime notes: the verdict never ran
+        assert err.splitlines() == [
+            "error: csv output requires a sweep (add a sweep section or --grid)"
+        ]
+
+
 class TestCliContract:
     def test_kind_must_match_command(self, scenario, capsys):
         code, out, err = run(capsys, "relay", scenario({"fwa_scenario": FWA_BODY}))
@@ -729,13 +767,13 @@ class TestShippedScenarios:
 class TestSweepFloatRange:
     """Sweeps whose powers leave the float range end in a report or a named error."""
 
-    def run_cli(self, scenario, sweep):
+    def run_cli(self, scenario, sweep, *flags):
         doc = {"relay_scenario": RELAY_BODY, "sweep": sweep}
         src = str(Path(__file__).resolve().parent.parent / "src")
         path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
         env = dict(os.environ, PYTHONPATH=path)
         return subprocess.run(
-            [sys.executable, "-m", "wastefigure.cli", "relay", scenario(doc)],
+            [sys.executable, "-m", "wastefigure.cli", "relay", scenario(doc), *flags],
             capture_output=True, text=True, env=env,
         )
 
@@ -753,3 +791,34 @@ class TestSweepFloatRange:
         assert proc.returncode == 0
         assert "RuntimeWarning" not in proc.stderr
         assert "advantageous area fraction = 0.01153 (normalized grid 51x51)" in proc.stdout
+
+    def test_span_outside_float_range_exits_1(self, scenario, tmp_path):
+        # high - low overflows: np.linspace would write nan rows
+        wide = [-1e308, 1e308]
+        sweep = {"mode": "planar", "x_range": wide, "y_range": wide, "nx": 5, "ny": 5}
+        out_csv = tmp_path / "region.csv"
+        proc = self.run_cli(scenario, sweep, "--csv", str(out_csv))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1] == (
+            "error: x_range must have a finite span high - low, got (-1e+308, 1e+308)"
+        )
+        assert "Traceback" not in proc.stderr
+        assert not out_csv.exists()
+
+
+def test_grid_too_large_for_memory_exits_1():
+    # the limit acts on the child only; numpy raises before it touches the memory
+    resource = pytest.importorskip("resource")
+    limit = 1500 * 2**20
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "wastefigure.cli", "fwa", str(root / "scenarios" / "fwa.json"),
+         "--grid", "400000000", "3", "--quiet"],
+        capture_output=True, text=True, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith("error: not enough memory: ")
+    assert "Traceback" not in proc.stderr

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from wastefigure import cascade as cascade_module, config, energy as energy_module
 from wastefigure.cascade import Stage
 from wastefigure.energy import EnergyContext, LinkTerminals
-from wastefigure.config import cascade_to_config, load_scenario, parse_scenario
+from wastefigure.config import OutputSpec, cascade_to_config, load_scenario, parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -191,6 +191,35 @@ class TestNumbers:
         doc["relay_scenario"]["g_rx_sink_db"] = value
         with pytest.raises(ValueError, match=r"^relay_scenario\.g_rx_sink_db: dB value .* outside the float range"):
             parse_scenario(doc)
+
+
+RELAY_DEMO = json.loads((SCENARIOS / "relay.json").read_text())
+LINK_DEMO = json.loads((SCENARIOS / "link.json").read_text())
+
+
+class TestSectionShapes:
+    """A section of the wrong shape is a ValueError naming the section and its value."""
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"relay_scenario": [1]}, "relay_scenario: expected an object, got [1]"),
+            (dict(RELAY_DEMO, output={"csv": 5}), "output.csv: expected a path string, got 5"),
+            ({"link": {k: v for k, v in LINK_DEMO["link"].items() if k != "channel"}},
+             "link: missing required section channel"),
+            ({"cascade": {}}, "cascade: expected a list of stages, got {}"),
+            (dict(RELAY_DEMO, sweep={"x_range": [0]}), "sweep.x_range: expected [low, high], got [0]"),
+            (dict(RELAY_DEMO, sweep={"nx": 2.5}), "sweep.nx: expected an integer, got 2.5"),
+        ],
+        ids=["scenario-list", "output-path", "link-channel", "cascade-object", "sweep-range", "sweep-count"],
+    )
+    def test_message(self, doc, message):
+        with pytest.raises(ValueError) as raised:
+            parse_scenario(doc)
+        assert str(raised.value) == message
+
+    def test_no_output_section_gives_no_paths(self):
+        assert parse_scenario(RELAY_DEMO).output == OutputSpec(csv=None, json=None)
 
 
 def test_two_hop_echo_in_a_fresh_interpreter_importing_the_record_modules_first():

@@ -37,6 +37,7 @@ from wastefigure import (
     decision_rule_holds,
     fwa_ratio,
     fwa_verdict,
+    link_waste,
     max_efficient_distance,
     relay_ratio,
     relay_verdict,
@@ -224,6 +225,23 @@ class TestLibraryNamedErrors:
         for fn in (cascade_waste, contribution_report):
             with pytest.raises(ValueError, match=r"^lna: term \(W - 1\) / \(gain after it\) = "):
                 fn(c)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: link_waste(LinkTerminals(1.0, 1.0, 1.0), 1.5),
+             "g_ch must be in (0, 1] and finite, got 1.5"),
+            (lambda: TrafficMix(1.5, -0.5), "rho_u must be in [0, 1], got 1.5"),
+            (lambda: FwaScenario(**dict(RECORDS[FwaScenario], ctx=None)),
+             "ctx must be an EnergyContext, got None"),
+            (lambda: Cascade((1.0,)), "cascade entries must be Stage, got 1.0"),
+        ],
+        ids=["link-g_ch", "traffic-share", "fwa-ctx", "cascade-entry"],
+    )
+    def test_invalid_argument_is_named(self, build, message):
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == message
 
     def test_max_efficient_distance_overflow_is_named(self):
         ctx = EnergyContext(n0=4e-21, capacity=1e8, p_np=1e10)

@@ -109,6 +109,8 @@ class TestGridSpec:
             ((2.0, 1.0), "must satisfy low < high, got (2.0, 1.0)"),
             ((0.0, math.inf), "must satisfy low < high, got (0.0, inf)"),
             ((0.0, 10**400), f"must satisfy low < high, got (0.0, {10**400!r})"),
+            # high - low overflows, so np.linspace would space the points by inf
+            ((-1e308, 1e308), "must have a finite span high - low, got (-1e+308, 1e+308)"),
             (("0", "1.5"), "must be a number, got '0'"),
             ((0.0, "1"), "must be a number, got '1'"),
             ((None, 1.0), "must be a number, got None"),
@@ -116,7 +118,8 @@ class TestGridSpec:
             ((0.0, 1.0, 2.0), "must be a (low, high) pair, got (0.0, 1.0, 2.0)"),
             (1.0, "must be a (low, high) pair, got 1.0"),
         ],
-        ids=["equal", "decreasing", "inf", "huge-int", "str", "str-high", "none", "one", "three", "scalar"],
+        ids=["equal", "decreasing", "inf", "huge-int", "span-overflow",
+             "str", "str-high", "none", "one", "three", "scalar"],
     )
     def test_range_must_increase(self, bad, message):
         with pytest.raises(ValueError) as raised:
