@@ -216,7 +216,10 @@ def _run(args) -> int:
             raise ValueError("csv output applies to region sweeps (relay/fwa)")
     elif args.grid is not None:
         sweep = sweep or config._parse_sweep({}, getattr(sf, sf.kind).d3)
-        sweep = dataclasses.replace(sweep, nx=args.grid[0], ny=args.grid[1])
+        try:
+            sweep = dataclasses.replace(sweep, nx=args.grid[0], ny=args.grid[1])
+        except ValueError as exc:
+            raise ValueError(f"--grid: {exc}") from None
     if csv_path and sweep is None:
         raise ValueError("csv output requires a sweep (add a sweep section or --grid)")
     sf = dataclasses.replace(sf, sweep=sweep, output=config.OutputSpec(csv_path, json_path))

@@ -318,11 +318,13 @@ def _parse_sweep(section, default_d3: float) -> GridSpec:
     section = _mapping(section, {"mode", "x_range", "y_range", "nx", "ny", "d3"}, where)
     mode = section.get("mode", "normalized")
     d3 = _num(section, "d3", where, default_d3)
-    base = GridSpec.planar_around(d3) if mode == "planar" else GridSpec(mode=mode, d3=d3)
     fields = {"x_range": _read_range, "y_range": _read_range, "nx": _read_count, "ny": _read_count}
-    return dataclasses.replace(
-        base, **{key: read(section, key, where) for key, read in fields.items() if key in section}
-    )
+    values = {key: read(section, key, where) for key, read in fields.items() if key in section}
+    try:  # GridSpec names the field; the prefix names the section
+        base = GridSpec.planar_around(d3) if mode == "planar" else GridSpec(mode=mode, d3=d3)
+        return dataclasses.replace(base, **values)
+    except ValueError as exc:
+        raise ValueError(f"{where}.{exc}") from None
 
 
 # scenario section -> (kind, parser); a cascade is a list of stages, not a table

@@ -19,32 +19,56 @@ For a fixed grid row x the rule's right-hand side never decreases as
 |y| grows (both coefficients are positive, and d1 and d2 grow with
 |y|) and its left-hand side is one constant per grid, so a row's
 advantageous cells form one contiguous interval [lo, hi) around y = 0.
-Sweeps find each row's two interval ends over all rows at once: each end
-is seeded from the rule's root (closed form on normalized axes, six
-vectorised Newton steps on y**2 in the plane), certified by the rule's
-test at the seed and at the cell before it, and bisected only in the
-rows where that check fails. Every end is thus decided by the same
-elementwise expression as a full-grid evaluation, at O(nx) points
-instead of nx * ny, so masks are unchanged; a poor seed only costs time.
+Every row end is decided by the same expression as a full-grid
+evaluation, at O(nx log ny) points instead of nx * ny. The mode picks
+the kernel:
+
+* normalized axes start at 0, so every row is [0, hi). The kernel runs
+  on Python floats: ``b*y**alpha`` once per column, ``a*x**alpha`` once
+  per row, each row end walked to from the previous row's with the
+  rule's test, and the runs built from the row ends directly. Its cells
+  use Python's ``**``, as ``Rule.margin`` does.
+* planar rows straddle y = 0. The kernel is vectorised over all rows
+  with numpy: six Newton steps on y**2 from the rule's one-term bound
+  seed both ends, each seed is certified by the rule's test at the seed
+  and at the cell before it, only the rows where that check fails are
+  bisected (a poor seed only costs time), and the runs are built from
+  the row intervals with array operations.
+
+Both kernels and the CSV writer take the grid points from the same
+float operations, i*step + lo with the last point hi: ``_linspace`` on
+Python floats, and ``_linspace_array``, which ``GridSpec.x_points``/
+``y_points`` return, on numpy arrays for the planar kernel (a Python list
+converted to an array would cost the planar sweep about 0.5 ms at 2001²).
 
 A region is stored as the mask's x-major run-length encoding, the form
-the JSON output writes. A sweep builds it from the row intervals in
-O(nx), and its area fraction is sum(hi - lo) / (nx * ny); neither reads
-a cell. The mask itself is decoded from the runs only when a caller
-reads ``FeasibilityRegion.mask`` (the CSV writer, ``region_subset``).
+the JSON output writes. A sweep builds it from the row ends in O(nx),
+and its area fraction is sum(hi - lo) / (nx * ny). The CSV writer walks
+the runs row by row, and ``region_subset`` compares runs; neither reads
+a cell. The mask itself is decoded only when a caller reads
+``FeasibilityRegion.mask``.
+
+numpy is imported only by the planar kernel, ``_linspace_array``,
+``FeasibilityRegion.mask``, the mask-taking constructor and the
+run-length encode/decode helpers, so a normalized sweep and its CSV and
+JSON files run without it.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import numpy as np
+from itertools import accumulate
+from typing import TYPE_CHECKING
 
 from .fwa import FwaScenario
 from .relay import RelayScenario
 from .units import FLOAT_MAX, in_range
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GridSpec",
@@ -112,10 +136,36 @@ class GridSpec:
         )
 
     def x_points(self) -> np.ndarray:
-        return np.linspace(self.x_range[0], self.x_range[1], self.nx)
+        return _linspace_array(*self.x_range, self.nx)
 
     def y_points(self) -> np.ndarray:
-        return np.linspace(self.y_range[0], self.y_range[1], self.ny)
+        return _linspace_array(*self.y_range, self.ny)
+
+
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """n points from lo to hi on Python floats: i*step + lo, the last one hi.
+
+    These are ``np.linspace(lo, hi, n)``'s values, bit for bit; where the
+    step underflows to 0, numpy divides i by n - 1 first, and so does this.
+    """
+    points = [hi] * n  # sized at once: a grid too large for memory fails here, not midway
+    span = hi - lo
+    step = span / (n - 1)
+    if step:
+        points[:-1] = [i * step + lo for i in range(n - 1)]
+    else:
+        points[:-1] = [i / (n - 1) * span + lo for i in range(n - 1)]
+    return points
+
+
+def _linspace_array(lo: float, hi: float, n: int) -> np.ndarray:
+    """``_linspace`` as a numpy array, by the same float operations on each point."""
+    import numpy as np
+    i, span = np.arange(n, dtype=float), hi - lo
+    step = span / (n - 1)
+    points = i * step + lo if step else i / (n - 1) * span + lo
+    points[-1] = hi
+    return points
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -133,6 +183,7 @@ class FeasibilityRegion:
     _rle: tuple[int, list[int]] = field(repr=False)  # (first, runs), as rle_decode takes them
 
     def __init__(self, spec: GridSpec, mask, area_fraction: float, scenario) -> None:
+        import numpy as np
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (spec.nx, spec.ny):
             raise ValueError(f"mask shape {mask.shape} does not match the {spec.nx}x{spec.ny} grid")
@@ -166,6 +217,7 @@ def _first_true(pred, nrows: int, start: int, stop: int) -> np.ndarray:
     ``pred(rows, js)`` evaluates the predicate at (rows[k], js[k]) and must
     be false-then-true along j in every row.
     """
+    import numpy as np
     lo = np.full(nrows, start)
     hi = np.full(nrows, stop)
     while True:
@@ -185,6 +237,7 @@ def _seeded_first_true(pred, seeds: np.ndarray, start: int, stop: int) -> np.nda
     the answer iff pred holds at s (or s == stop) and fails at s - 1 (or
     s == start). Only the rows whose seed fails that check are bisected.
     """
+    import numpy as np
     s = np.clip(seeds, start, stop)
     at, before = np.flatnonzero(s < stop), np.flatnonzero(s > start)
     t = pred(np.concatenate([at, before]), np.concatenate([s[at], s[before] - 1]))
@@ -193,25 +246,23 @@ def _seeded_first_true(pred, seeds: np.ndarray, start: int, stop: int) -> np.nda
     return s
 
 
-def _boundary_y(rule, lhs: float, xs: np.ndarray, planar: bool, d3: float) -> np.ndarray:
-    """Per row, an estimate of the |y| where the rule's two sides meet (0 if not finite).
+def _boundary_y(rule, lhs: float, xs: np.ndarray, d3: float) -> np.ndarray:
+    """Per row, an estimate of the |y| where the rule's two sides meet in the plane (0 if not finite).
 
-    In the plane it is Newton on u = y**2 in a*(p+u)**h + b*(q+u)**h = lhs
-    (p = x**2, q = (x-d3)**2, h = alpha/2), from the one-term bound above the root.
+    Newton on u = y**2 in a*(p+u)**h + b*(q+u)**h = lhs (p = x**2,
+    q = (x-d3)**2, h = alpha/2), from the one-term bound above the root.
     """
-    if not planar:
-        y = ((lhs - rule.a * xs**rule.alpha) / rule.b) ** (1.0 / rule.alpha)
-    else:
-        # a numpy h: alpha/2 underflows to 0 for a subnormal alpha, and 1/h is then inf
-        h, p, q = np.float64(rule.alpha) / 2.0, xs**2, (xs - d3) ** 2
-        ra, rb = (np.float64(lhs) / np.array([rule.a, rule.b])) ** (1.0 / h)
-        u = np.fmax(np.fmin(ra - p, rb - q), 0.0)
-        for _ in range(6):  # fmax turns a nan step (0/0, inf/inf) into a restart at 0
-            pu, qu = p + u, q + u
-            pm, qm = pu ** (h - 1.0), qu ** (h - 1.0)
-            f = rule.a * pm * pu + rule.b * qm * qu - lhs
-            u = np.fmax(u - f / (h * (rule.a * pm + rule.b * qm)), 0.0)
-        y = np.sqrt(u)
+    import numpy as np
+    # a numpy h: alpha/2 underflows to 0 for a subnormal alpha, and 1/h is then inf
+    h, p, q = np.float64(rule.alpha) / 2.0, xs**2, (xs - d3) ** 2
+    ra, rb = (np.float64(lhs) / np.array([rule.a, rule.b])) ** (1.0 / h)
+    u = np.fmax(np.fmin(ra - p, rb - q), 0.0)
+    for _ in range(6):  # fmax turns a nan step (0/0, inf/inf) into a restart at 0
+        pu, qu = p + u, q + u
+        pm, qm = pu ** (h - 1.0), qu ** (h - 1.0)
+        f = rule.a * pm * pu + rule.b * qm * qu - lhs
+        u = np.fmax(u - f / (h * (rule.a * pm + rule.b * qm)), 0.0)
+    y = np.sqrt(u)
     return np.where(np.isfinite(y), y, 0.0)
 
 
@@ -222,6 +273,7 @@ def _intervals_rle(los: np.ndarray, his: np.ndarray, ny: int) -> tuple[int, list
     ending at ny followed by a row starting at 0 meets it at the same
     index, and that pair of flips cancels: the run continues.
     """
+    import numpy as np
     size = los.size * ny
     rows = np.flatnonzero(his > los)
     flips = (rows[:, None] * ny + np.stack([los[rows], his[rows]], axis=1)).ravel()
@@ -232,18 +284,14 @@ def _intervals_rle(los: np.ndarray, his: np.ndarray, ny: int) -> tuple[int, list
     return first, np.diff(np.concatenate(([0], inner, [size]))).tolist()
 
 
-def _sweep(spec: GridSpec, s: RelayScenario | FwaScenario) -> FeasibilityRegion:
-    """The region of the rule: grid row i is advantageous on [los[i], his[i])."""
-    rule = s._rule()
-    planar = spec.mode == "planar"
-    lhs = rule.lhs(spec.d3 if planar else s.d3, normalized=not planar)
+def _planar_runs(spec: GridSpec, rule, lhs: float) -> tuple[int, tuple[int, list[int]]]:
+    """Planar kernel, all rows at once: (cells in, runs); row i is in on [los[i], his[i])."""
+    import numpy as np
     xs, ys = spec.x_points(), spec.y_points()
 
     def holds(rows: np.ndarray, js: np.ndarray) -> np.ndarray:
-        d1, d2 = xs[rows], ys[js]
-        if planar:
-            d1, d2 = np.hypot(d1, d2), np.hypot(d1 - spec.d3, d2)
-        return lhs > rule.rhs(d1, d2)
+        x, y = xs[rows], ys[js]
+        return lhs > rule.rhs(np.hypot(x, y), np.hypot(x - spec.d3, y))
 
     # members are a prefix of the y >= 0 half and a suffix of the y < 0 half;
     # a right-hand side that overflows to inf exceeds the finite lhs, the exact
@@ -252,13 +300,66 @@ def _sweep(spec: GridSpec, s: RelayScenario | FwaScenario) -> FeasibilityRegion:
     # the seeds' own 0/0 and x/0 only make a poor seed, so divide is silenced too
     j0 = int(np.searchsorted(ys, 0.0))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        y_star = _boundary_y(rule, lhs, xs, planar, spec.d3)
+        y_star = _boundary_y(rule, lhs, xs, spec.d3)
         his = _seeded_first_true(
             lambda rows, js: ~holds(rows, js), np.searchsorted(ys, y_star), j0, spec.ny
         )
         los = _seeded_first_true(holds, np.searchsorted(ys, -y_star, side="right"), 0, j0)
-    area = int((his - los).sum()) / (spec.nx * spec.ny)
-    return FeasibilityRegion._from_rle(spec, area, s, _intervals_rle(los, his, spec.ny))
+    return int((his - los).sum()), _intervals_rle(los, his, spec.ny)
+
+
+def _normalized_runs(spec: GridSpec, rule, lhs: float) -> tuple[int, tuple[int, list[int]]]:
+    """Normalized kernel on Python floats: (cells in, runs); row i is in on [0, his[i]).
+
+    The axes start at 0, so a row's cells are a prefix: its end is the first
+    column where the rule's own test lhs > a*x**alpha + b*y**alpha fails, as
+    the test holds before the end and fails from it on. Each row walks from
+    the previous row's end until the test holds at end - 1 and fails at end;
+    the ends only fall as x grows, so a sweep takes about nx + ny tests. An
+    overflow is inf, which fails the test, and 0 * inf (a coefficient that
+    underflowed to 0) is nan, which fails it too.
+    """
+    ny = spec.ny
+    by = [rule.b * rule.power(y) for y in _linspace(*spec.y_range, ny)]
+    his, end = [], 0
+    for ax in [rule.a * rule.power(x) for x in _linspace(*spec.x_range, spec.nx)]:
+        while end and not lhs > ax + by[end - 1]:
+            end -= 1
+        while end < ny and lhs > ax + by[end]:
+            end += 1
+        his.append(end)
+    return sum(his), _prefix_rle(his, ny)
+
+
+def _prefix_rle(his: list[int], ny: int) -> tuple[int, list[int]]:
+    """x-major run-length encoding of the mask whose row i is in on [0, his[i])."""
+    first = value = int(his[0] > 0)
+    runs, n = [], 0  # n: length of the run of `value` being built
+    for hi in his:
+        if hi:
+            if value:
+                n += hi
+            else:
+                runs.append(n)
+                n, value = hi, 1
+        if hi < ny:
+            if value:
+                runs.append(n)
+                n, value = ny - hi, 0
+            else:
+                n += ny - hi
+    runs.append(n)
+    return first, runs
+
+
+def _sweep(spec: GridSpec, s: RelayScenario | FwaScenario) -> FeasibilityRegion:
+    """The region of the scenario's rule on the grid; the grid's mode picks the kernel."""
+    rule = s._rule()
+    if spec.mode == "planar":
+        cells, rle = _planar_runs(spec, rule, rule.lhs(spec.d3, normalized=False))
+    else:
+        cells, rle = _normalized_runs(spec, rule, rule.lhs(s.d3, normalized=True))
+    return FeasibilityRegion._from_rle(spec, cells / (spec.nx * spec.ny), s, rle)
 
 
 def sweep_relay(s: RelayScenario, spec: GridSpec, workers: int = 1) -> FeasibilityRegion:
@@ -269,10 +370,10 @@ def sweep_relay(s: RelayScenario, spec: GridSpec, workers: int = 1) -> Feasibili
     grid's d3). In normalized mode the scenario's d3 scales the non-path
     power term, so the scenario's own point lands on its own verdict.
     Each grid row's advantageous cells are one interval, whose ends are
-    seeded from the rule's root, certified by the rule's own test and
-    bisected only where that fails. The region stores the runs of those intervals;
-    its mask is decoded on demand. ``workers`` is accepted and ignored;
-    it is kept only so that existing callers keep working.
+    found with the rule's own test; normalized grids run on Python floats,
+    planar grids on numpy. The region stores the runs of those intervals;
+    its mask is decoded on demand. ``workers`` is accepted and ignored; it
+    is kept only so that existing callers keep working.
     """
     return _sweep(spec, s)
 
@@ -280,7 +381,7 @@ def sweep_relay(s: RelayScenario, spec: GridSpec, workers: int = 1) -> Feasibili
 def sweep_fwa(s: FwaScenario, spec: GridSpec, workers: int = 1) -> FeasibilityRegion:
     """Sweep the FWA distance rule; coefficients follow the traffic mix.
 
-    Same rule and seed-certify-bisect kernel as ``sweep_relay``; ``workers`` is ignored.
+    Same rule and kernels as ``sweep_relay``; ``workers`` is ignored.
     """
     return _sweep(spec, s)
 
@@ -289,25 +390,50 @@ def region_subset(inner: FeasibilityRegion, outer: FeasibilityRegion) -> bool:
     """True iff every advantageous point of ``inner`` is advantageous in ``outer``."""
     if inner.spec != outer.spec:
         raise ValueError("region subset is only defined on identical grids")
-    return bool(np.all(outer.mask | ~inner.mask))
+    # a run of inner's cells must lie in one run of outer's: runs are maximal,
+    # so an outer run that ends inside it is followed by cells outer leaves out
+    first, runs = outer._rle
+    ends = list(accumulate(runs))
+    start = 0
+    for k, n in enumerate(inner._rle[1], inner._rle[0]):  # run k holds the value k % 2
+        if k % 2:
+            r = bisect_right(ends, start)  # outer's run holding cell `start`
+            if not (first + r) % 2 or ends[r] < start + n:
+                return False
+        start += n
+    return True
 
 
 def write_region_csv(region: FeasibilityRegion, path) -> None:
     """Write the sweep as CSV rows x,y,advantageous (floats at full precision).
 
     Each ``,y,flag`` line tail is formatted once per sweep and each x once
-    per row; a grid row joins the tails its mask row picks, streamed to the file.
+    per row; a grid row joins the tails its runs pick, streamed to the file.
+    A row may hold several runs, and a run may span several rows.
     """
-    ys = region.spec.y_points().tolist()
-    tails = np.array([[f",{y:.17g},{m}\n" for y in ys] for m in (0, 1)], dtype=object)
+    spec = region.spec
+    ny = spec.ny
+    ys = _linspace(*spec.y_range, ny)
+    tails = tuple([f",{y:.17g},{m}\n" for y in ys] for m in (0, 1))
+    first, runs = region._rle
+    runs = iter(runs)
+    value, left = 1 - first, 0  # the current run's value and its cells not yet written
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,y,advantageous\n")
-        for x, row in zip(region.spec.x_points().tolist(), region.mask):
+        for x in _linspace(*spec.x_range, spec.nx):
+            row, j = [], 0
+            while j < ny:
+                if not left:
+                    value, left = 1 - value, next(runs)
+                n = min(left, ny - j)
+                row += tails[value][j : j + n]
+                j, left = j + n, left - n
             prefix = f"{x:.17g}"
-            fh.write(prefix + prefix.join(np.where(row, tails[1], tails[0]).tolist()))
+            fh.write(prefix + prefix.join(row))
 
 
 def _rle_encode(flat: np.ndarray) -> tuple[int, list[int]]:
+    import numpy as np
     changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
     bounds = np.concatenate(([0], changes, [flat.size]))
     return int(flat[0]), np.diff(bounds).tolist()
@@ -315,6 +441,7 @@ def _rle_encode(flat: np.ndarray) -> tuple[int, list[int]]:
 
 def rle_decode(first: int, runs: list[int], shape: tuple[int, int]) -> np.ndarray:
     """Rebuild a mask from its run-length encoding (x-major order)."""
+    import numpy as np
     values = (first + np.arange(len(runs))) % 2
     flat = np.repeat(values.astype(bool), runs)
     return flat.reshape(shape)

@@ -139,14 +139,18 @@ class Rule(NamedTuple):
             ) from None
         return margin - self.c if include_c else margin
 
+    def power(self, d: float) -> float:
+        """d**alpha on floats, inf where it overflows (as numpy's power gives)."""
+        try:
+            return d**self.alpha
+        except OverflowError:
+            return math.inf
+
     def lhs(self, d3: float, normalized: bool) -> float:
         """A sweep's constant side: d3**alpha - c, or 1 - c / d3**alpha on normalized axes."""
         if normalized and self.c == 0.0:
             return 1.0
-        try:
-            d3_alpha = d3**self.alpha
-        except OverflowError:
-            d3_alpha = math.inf
+        d3_alpha = self.power(d3)
         if not 0.0 < d3_alpha < math.inf:
             raise ValueError(
                 f"sweep: d3**alpha = {d3!r}**{self.alpha!r} is outside the float range"

@@ -593,6 +593,14 @@ class TestCliContract:
         assert code == 1
         assert "--grid applies to the relay and fwa commands" in err
 
+    @pytest.mark.parametrize("sweep", [None, {"mode": "planar"}], ids=["no-section", "planar-section"])
+    def test_bad_grid_size_names_the_flag(self, scenario, capsys, sweep):
+        doc = {"relay_scenario": RELAY_BODY} if sweep is None else {"relay_scenario": RELAY_BODY, "sweep": sweep}
+        code, out, err = run(capsys, "relay", scenario(doc), "--grid", "1", "5")
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1] == "error: --grid: nx must be an integer >= 2, got 1"
+
     def test_csv_rejected_on_link(self, scenario, tmp_path, capsys):
         doc = {
             "link": {
@@ -800,7 +808,7 @@ class TestSweepFloatRange:
         proc = self.run_cli(scenario, sweep, "--csv", str(out_csv))
         assert proc.returncode == 1
         assert proc.stderr.splitlines()[-1] == (
-            "error: x_range must have a finite span high - low, got (-1e+308, 1e+308)"
+            "error: sweep.x_range must have a finite span high - low, got (-1e+308, 1e+308)"
         )
         assert "Traceback" not in proc.stderr
         assert not out_csv.exists()
@@ -822,3 +830,31 @@ def test_grid_too_large_for_memory_exits_1():
     assert proc.returncode == 1
     assert proc.stderr.splitlines()[-1].startswith("error: not enough memory: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_normalized_sweep_loads_no_numpy(scenario, tmp_path):
+    # a fresh interpreter: the import, and a normalized sweep with CSV and JSON
+    # output, leave numpy unloaded; a planar sweep then loads it and still works
+    code = """
+import json, sys
+import wastefigure, wastefigure.cli
+assert "numpy" not in sys.modules, "import wastefigure.cli loaded numpy"
+normalized, planar, out = sys.argv[1:]
+args = ["--csv", out + ".csv", "--json", out + ".json", "--quiet"]
+assert wastefigure.cli.main(["fwa", normalized, "--grid", "41", "41", *args]) == 0
+assert "numpy" not in sys.modules, "the normalized sweep loaded numpy"
+assert json.load(open(out + ".json"))["region"]["grid"]["mode"] == "normalized"
+assert wastefigure.cli.main(["relay", planar, "--grid", "41", "41", *args]) == 0
+assert "numpy" in sys.modules
+assert json.load(open(out + ".json"))["region"]["grid"]["mode"] == "planar"
+"""
+    normalized = scenario({"fwa_scenario": FWA_BODY})
+    planar = scenario({"relay_scenario": RELAY_BODY, "sweep": {"mode": "planar"}})
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, normalized, planar, str(tmp_path / "out")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out.csv").read_text().count("\n") == 1 + 41 * 41

@@ -27,6 +27,7 @@ from wastefigure import (
     write_region_json,
 )
 from wastefigure.config import load_scenario
+from wastefigure.units import FLOAT_MAX
 
 CTX0 = EnergyContext(n0=1e-20, capacity=1e8, p_np=0.0)
 
@@ -86,6 +87,41 @@ class TestGridSpec:
         assert spec.x_range == (-0.5, 2.5)
         assert spec.y_range == (-1.5, 1.5)
         assert spec.d3 == 2.0
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_python_points_equal_numpy_linspace(self, data):
+        from wastefigure.region import _linspace, _linspace_array
+
+        finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+        lo = data.draw(finite)
+        # spans from subnormal (the step underflows to 0) to wide, at negative lows too
+        span = data.draw(st.one_of(
+            st.floats(min_value=5e-324, max_value=1e-300), st.floats(min_value=1e-300, max_value=1e300),
+        ))
+        hi = lo + span
+        assume(lo < hi and hi - lo <= FLOAT_MAX)
+        n = data.draw(st.one_of(st.just(2), st.integers(min_value=2, max_value=400)))
+        got = _linspace(lo, hi, n)
+        assert {type(v) for v in got} == {float}
+        want = np.linspace(lo, hi, n).view(np.int64)
+        assert np.array_equal(np.array(got).view(np.int64), want)
+        assert np.array_equal(_linspace_array(lo, hi, n).view(np.int64), want)
+
+    @pytest.mark.parametrize("lo, hi, n", [(0.0, 1.5e-323, 7), (-1.0, -1.0 + 2**-52, 7), (-3.5, -0.25, 2)])
+    def test_python_points_edge_cases(self, lo, hi, n):
+        from wastefigure.region import _linspace, _linspace_array
+
+        want = np.linspace(lo, hi, n).view(np.int64)
+        assert np.array_equal(np.array(_linspace(lo, hi, n)).view(np.int64), want)
+        assert np.array_equal(_linspace_array(lo, hi, n).view(np.int64), want)
+
+    def test_grid_points_are_the_python_points(self):
+        from wastefigure.region import _linspace
+
+        spec = GridSpec.planar_around(3.7, nx=2001, ny=7)
+        assert spec.x_points().tolist() == _linspace(*spec.x_range, 2001)
+        assert spec.y_points().tolist() == _linspace(*spec.y_range, 7)
 
     @pytest.mark.parametrize("bad", [(-0.5, 1.0), [-1, 1]])
     def test_normalized_rejects_negative_axes(self, bad):
@@ -187,6 +223,33 @@ class TestSweepRelay:
         region = sweep_relay(relay_scn(), GridSpec(nx=5, ny=5))
         with pytest.raises(ValueError):
             region.mask[0, 0] = True
+
+
+class TestNormalizedKernelOnPythonFloats:
+    """Normalized cells follow Python's ``**``, the pow of ``Rule.margin``, cell for cell."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mask_equals_pointwise_loop(self, data):
+        alpha = data.draw(st.one_of(st.sampled_from([2.0, 3.0, 3.7, 4.0, 6.1]), st.floats(0.5, 8.0)))
+        a, b = (data.draw(st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e)) for _ in "ab")
+        sx, sy = a ** (-1.0 / alpha), b ** (-1.0 / alpha)  # the region lies in x < sx, y < sy
+        (x0, xw), (y0, yw) = (
+            (data.draw(st.floats(0.0, 0.9)), data.draw(st.floats(0.05, 2.0))) for _ in "xy"
+        )
+        spec = GridSpec(
+            x_range=(x0 * sx, (x0 + xw) * sx), y_range=(y0 * sy, (y0 + yw) * sy),
+            nx=data.draw(st.integers(min_value=2, max_value=120)),
+            ny=data.draw(st.integers(min_value=2, max_value=120)),
+        )
+        s = RelayScenario(
+            w_tx_source=1e3, w_tx_relay=1e3 * b, g_rx_relay=1.0, g_rx_sink=a,
+            alpha=alpha, d1=0.5, d2=0.5, d3=1.0, ctx=CTX0,
+        )
+        rule = s._rule()
+        region = sweep_relay(s, spec)
+        assert np.array_equal(region.mask, loop_mask(spec, alpha, rule.a, rule.b))
+        assert region.area_fraction == float(region.mask.mean())
 
 
 class TestSweepFwa:
@@ -504,6 +567,36 @@ class TestSubset:
         r = sweep_relay(relay_scn(), spec)
         assert region_subset(r, r)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_runs_equal_mask_formula_on_hand_built_regions(self, data):
+        nx = data.draw(st.integers(min_value=2, max_value=8))
+        ny = data.draw(st.integers(min_value=2, max_value=8))
+        spec = GridSpec(nx=nx, ny=ny)
+        bits = st.lists(st.booleans(), min_size=nx * ny, max_size=nx * ny)
+        inner = np.array(data.draw(bits), dtype=bool).reshape(nx, ny)
+        # an outer mask that covers inner half the time, with extra cells
+        outer = np.array(data.draw(bits), dtype=bool).reshape(nx, ny)
+        if data.draw(st.booleans()):
+            outer |= inner
+        regions = [
+            FeasibilityRegion(spec=spec, mask=m, area_fraction=float(m.mean()), scenario=relay_scn())
+            for m in (inner, outer)
+        ]
+        assert region_subset(*regions) == bool(np.all(outer | ~inner))
+        assert region_subset(*regions[::-1]) == bool(np.all(inner | ~outer))
+
+    @pytest.mark.parametrize(
+        "spec", [GridSpec(nx=61, ny=47), GridSpec.planar_around(2.0, nx=53, ny=61)],
+        ids=["normalized", "planar"],
+    )
+    def test_runs_equal_mask_formula_on_swept_pairs(self, spec):
+        regions = [sweep_relay(relay_scn(w_tx_relay=w), spec) for w in (1.0, 2.0, 8.0)]
+        regions += [sweep_relay(relay_scn(g_rx_relay=g), spec) for g in (10.0, 1e4)]
+        for inner in regions:
+            for outer in regions:
+                assert region_subset(inner, outer) == bool(np.all(outer.mask | ~inner.mask))
+
     def test_mismatched_grids_rejected(self):
         r1 = sweep_relay(relay_scn(), GridSpec(nx=21, ny=21))
         r2 = sweep_relay(relay_scn(), GridSpec(nx=22, ny=21))
@@ -766,13 +859,17 @@ class TestIntervalRuns:
     @settings(max_examples=500, deadline=None)
     @given(intervals=row_intervals())
     def test_runs_equal_encoding_of_the_decoded_mask(self, intervals):
-        from wastefigure.region import _intervals_rle, _rle_encode
+        from wastefigure.region import _intervals_rle, _prefix_rle, _rle_encode
 
         los, his, ny = intervals
         mask = interval_mask(los, his, ny)
         first, runs = _intervals_rle(los, his, ny)
         assert (first, runs) == _rle_encode(mask.ravel())
         assert np.array_equal(rle_decode(first, runs, mask.shape), mask)
+        # the normalized kernel's rows are prefixes [0, hi): the same rows moved to 0
+        lengths = (his - los).tolist()
+        prefixes = interval_mask([0] * len(lengths), lengths, ny)
+        assert _prefix_rle(lengths, ny) == _rle_encode(prefixes.ravel())
 
     @pytest.mark.parametrize(
         "los, his, ny",
