@@ -57,6 +57,7 @@ JSON files run without it.
 from __future__ import annotations
 
 import json
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -120,6 +121,8 @@ class GridSpec:
             n = getattr(self, name)
             if not isinstance(n, int) or isinstance(n, bool) or n < 2:
                 raise ValueError(f"{name} must be an integer >= 2, got {n!r}")
+            if n > sys.maxsize:  # larger counts cannot size a list or an array
+                raise ValueError(f"{name} must be at most sys.maxsize = {sys.maxsize}, got {n!r}")
         if not in_range("d3", self.d3, 0.0, open_low=True):
             raise ValueError(f"d3 must be positive and finite, got {self.d3!r}")
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,9 @@ from wastefigure import (
     sweep_relay,
 )
 from wastefigure.cli import main
-from wastefigure.config import load_scenario, parse_scenario
+from wastefigure.config import cascade_to_config, load_scenario, parse_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::wastefigure.ApproximationRegimeWarning"
@@ -69,10 +72,24 @@ def scenario(tmp_path):
     return write
 
 
+def run_python(*argv, env=(), **kwargs):
+    """Run a fresh interpreter with this checkout's src/ first on its path."""
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path, **dict(env))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, **kwargs)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def load_strict(path):
+    """Load a JSON report; a NaN or Infinity in it is an error."""
+    def reject(name):
+        raise ValueError(f"non-finite JSON number {name}")
+    return json.loads(Path(path).read_text(), parse_constant=reject)
 
 
 class TestConfigParsing:
@@ -110,7 +127,7 @@ class TestConfigParsing:
         ("link", "link"), ("relay", "relay_scenario"), ("fwa", "fwa_scenario"),
     ])
     def test_missing_energy_section(self, scenario, capsys, command, section):
-        demo = Path(__file__).resolve().parent.parent / "scenarios" / f"{command}.json"
+        demo = ROOT / "scenarios" / f"{command}.json"
         doc = json.loads(demo.read_text())
         del doc[section]["energy"]
         code, out, err = run(capsys, command, scenario(doc))
@@ -328,6 +345,35 @@ class TestCascadeCommand:
             ("a", 0.0, 0.0), ("b", 0.0, 0.0), ("c", 0.0, 0.0)
         ]
 
+    def test_64_stages_in_mixed_spellings(self, scenario, tmp_path, capsys):
+        # ideal stages whose gain product after stage 0 underflows to 0, then
+        # labelled and unlabelled, linear, dB and passive stages
+        stages = [
+            {"label": "ideal", "gain": 1.0, "waste": 1.0},
+            {"label": "fade", "gain_db": -2000.0, "waste_db": 0.0},
+            {"gain": 1e-200, "waste": 1.0},
+        ]
+        for i in range(3, 64):
+            stage = {} if i % 7 == 0 else {"label": f"s{i}"}
+            if i % 3 == 0:
+                stage.update({"passive": True, "gain_db": -0.5} if i % 2 else {"passive": True, "gain": 0.9})
+            elif i % 2:
+                stage.update({"gain_db": 3.0, "waste_db": 1.5})
+            else:
+                stage.update({"gain": 1.5, "waste": 1.0 + i / 64})
+            stages.append(stage)
+        out_json = tmp_path / "report.json"
+        code, _, err = run(capsys, "cascade", scenario({"cascade": stages}), "--json", str(out_json))
+        assert code == 0, err
+        doc = load_strict(out_json)
+        terms = [t["term"] for t in doc["report"]["terms"]]
+        assert len(terms) == 64
+        assert terms == sorted(terms, reverse=True)
+        assert abs(sum(t["share"] for t in doc["report"]["terms"]) - 1.0) <= 1e-12
+        chain = parse_scenario(doc["scenario"]).cascade
+        assert cascade_to_config(chain) == doc["scenario"]
+        assert doc["report"]["waste"] == cascade_waste(chain)
+
 
 class TestLinkCommand:
     def link_doc(self, channel, p_np=0.0, w_tx=2.0, w_rx=2.0, g_rx=100.0):
@@ -416,20 +462,25 @@ class TestRelayCommand:
         _, out, _ = run(capsys, "relay", scenario({"relay_scenario": RELAY_BODY}))
         assert "ellipse" not in out
 
-    def test_grid_flag_sweeps(self, scenario, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", ["normalized", "planar"])
+    def test_grid_flag_sweeps(self, scenario, tmp_path, capsys, mode):
         out_json = tmp_path / "report.json"
         out_csv = tmp_path / "region.csv"
+        source = {"relay_scenario": RELAY_BODY}
+        if mode == "planar":
+            source["sweep"] = {"mode": "planar"}
         code, out, err = run(
-            capsys, "relay", scenario({"relay_scenario": RELAY_BODY}),
+            capsys, "relay", scenario(source),
             "--grid", "41", "41", "--json", str(out_json), "--csv", str(out_csv),
         )
         assert code == 0
         assert "advantageous area fraction" in out
-        assert "(normalized grid 41x41)" in out
+        assert f"({mode} grid 41x41)" in out
         assert f"wrote region CSV: {out_csv}" in err
         doc = json.loads(out_json.read_text())
         sf = load_scenario(scenario({"relay_scenario": RELAY_BODY}))
-        region = sweep_relay(sf.relay, GridSpec(nx=41, ny=41))
+        spec = GridSpec(nx=41, ny=41) if mode == "normalized" else GridSpec.planar_around(1.0, 41, 41)
+        region = sweep_relay(sf.relay, spec)
         mask = rle_decode(
             doc["region"]["mask"]["first"], doc["region"]["mask"]["runs"], (41, 41)
         )
@@ -438,6 +489,7 @@ class TestRelayCommand:
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "x,y,advantageous"
         assert len(lines) == 1 + 41 * 41
+        assert [line.endswith(",1") for line in lines[1:]] == mask.ravel().tolist()
 
     def test_sweep_section_drives_outputs(self, scenario, tmp_path, capsys):
         out_csv = tmp_path / "from_file.csv"
@@ -523,7 +575,7 @@ class TestFlagsMeanTheirSections:
         ("fwa", "fwa_scenario", 1.0), ("relay", "relay_scenario", 3.7),
     ])
     def test_same_bytes(self, scenario, tmp_path, capsys, command, section, d3, mode):
-        demo = Path(__file__).resolve().parent.parent / "scenarios" / f"{command}.json"
+        demo = ROOT / "scenarios" / f"{command}.json"
         doc = json.loads(demo.read_text())
         doc[section]["d3"] = d3
         sweep = {} if mode is None else {"mode": mode}  # None: no sweep section with --grid
@@ -601,6 +653,13 @@ class TestCliContract:
         assert out == ""
         assert err.splitlines()[-1] == "error: --grid: nx must be an integer >= 2, got 1"
 
+    def test_grid_count_above_maxsize_names_the_flag(self, scenario):
+        path = scenario({"relay_scenario": RELAY_BODY})
+        proc = run_python("-m", "wastefigure.cli", "relay", path, "--grid", str(10**20), "3")
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1].startswith("error: --grid: nx")
+        assert "Traceback" not in proc.stderr
+
     def test_csv_rejected_on_link(self, scenario, tmp_path, capsys):
         doc = {
             "link": {
@@ -638,13 +697,7 @@ class TestCliContract:
     @pytest.mark.parametrize("scale", [1e60, 1e-70])
     def test_unrepresentable_distance_exits_1(self, scenario, command, section, body, scale):
         doc = {section: dict(body, alpha=6.0, d1=0.5 * scale, d2=0.6 * scale, d3=scale)}
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        env = dict(os.environ, PYTHONPATH=path)
-        proc = subprocess.run(
-            [sys.executable, "-m", "wastefigure.cli", command, scenario(doc)],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_python("-m", "wastefigure.cli", command, scenario(doc))
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ")
         assert "outside the float range" in proc.stderr
@@ -661,13 +714,7 @@ class TestCliContract:
         self, scenario, command, section, body, hop
     ):
         doc = {section: dict(body, alpha=6.1, d1=5e49, d2=6e49, d3=1e50)}
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        env = dict(os.environ, PYTHONPATH=path)
-        proc = subprocess.run(
-            [sys.executable, "-m", "wastefigure.cli", command, scenario(doc)],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_python("-m", "wastefigure.cli", command, scenario(doc))
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"error: {hop}: waste ")
         assert "outside the float range" in proc.stderr
@@ -679,15 +726,9 @@ class TestCliContract:
         ({"k": 1e-300, "distance": 1e10}, "link waste (g_rx*g_ch*w_rx + w_tx - g_ch)/(g_rx*g_ch)"),
     ])
     def test_link_channel_outside_float_range_exits_1(self, scenario, channel, named):
-        doc = json.loads((Path(__file__).resolve().parent.parent / "scenarios" / "link.json").read_text())
+        doc = json.loads((ROOT / "scenarios" / "link.json").read_text())
         doc["link"]["channel"].update(channel)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        env = dict(os.environ, PYTHONPATH=path)
-        proc = subprocess.run(
-            [sys.executable, "-m", "wastefigure.cli", "link", scenario(doc)],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_python("-m", "wastefigure.cli", "link", scenario(doc))
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"error: {named} ")
         assert "outside the float range" in proc.stderr
@@ -700,13 +741,7 @@ class TestCliContract:
          "sweep.x_range: expected a number, got None"),
     ])
     def test_unparseable_number_exits_1(self, scenario, doc, named):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        env = dict(os.environ, PYTHONPATH=path)
-        proc = subprocess.run(
-            [sys.executable, "-m", "wastefigure.cli", "relay", scenario(doc)],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_python("-m", "wastefigure.cli", "relay", scenario(doc))
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"error: {named}")
         assert "Traceback" not in proc.stderr
@@ -764,12 +799,20 @@ class TestShippedScenarios:
             ("fwa.json", "fwa"),
         ],
     )
-    def test_demo_file_runs(self, name, kind, capsys):
-        path = Path(__file__).resolve().parent.parent / "scenarios" / name
+    def test_demo_file_runs(self, name, kind, capsys, tmp_path):
+        path = ROOT / "scenarios" / name
         assert load_scenario(path).kind == kind
-        code, out, _ = run(capsys, kind, str(path))
-        assert code == 0
+        out_json = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            # a raw numpy warning is a defect: it must not reach the user
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, kind, str(path), "--json", str(out_json))
+        assert code == 0, err
         assert out
+        echoed = load_strict(out_json)["scenario"]
+        sf = parse_scenario(echoed)
+        echo = cascade_to_config(sf.cascade) if kind == "cascade" else getattr(sf, kind).to_config()
+        assert echo == echoed
 
 
 class TestSweepFloatRange:
@@ -777,13 +820,7 @@ class TestSweepFloatRange:
 
     def run_cli(self, scenario, sweep, *flags):
         doc = {"relay_scenario": RELAY_BODY, "sweep": sweep}
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        env = dict(os.environ, PYTHONPATH=path)
-        return subprocess.run(
-            [sys.executable, "-m", "wastefigure.cli", "relay", scenario(doc), *flags],
-            capture_output=True, text=True, env=env,
-        )
+        return run_python("-m", "wastefigure.cli", "relay", scenario(doc), *flags)
 
     @pytest.mark.parametrize("d3", [1e200, 1e-200])
     def test_planar_d3_power_outside_float_range_exits_1(self, scenario, d3):
@@ -818,13 +855,9 @@ def test_grid_too_large_for_memory_exits_1():
     # the limit acts on the child only; numpy raises before it touches the memory
     resource = pytest.importorskip("resource")
     limit = 1500 * 2**20
-    root = Path(__file__).resolve().parent.parent
-    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "wastefigure.cli", "fwa", str(root / "scenarios" / "fwa.json"),
-         "--grid", "400000000", "3", "--quiet"],
-        capture_output=True, text=True, env=env,
+    proc = run_python(
+        "-m", "wastefigure.cli", "fwa", str(ROOT / "scenarios" / "fwa.json"),
+        "--grid", "400000000", "3", "--quiet", env={"OPENBLAS_NUM_THREADS": "1"},
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
     assert proc.returncode == 1
@@ -850,11 +883,6 @@ assert json.load(open(out + ".json"))["region"]["grid"]["mode"] == "planar"
 """
     normalized = scenario({"fwa_scenario": FWA_BODY})
     planar = scenario({"relay_scenario": RELAY_BODY, "sweep": {"mode": "planar"}})
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, normalized, planar, str(tmp_path / "out")],
-        capture_output=True, text=True, env=env,
-    )
+    proc = run_python("-c", code, normalized, planar, str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out.csv").read_text().count("\n") == 1 + 41 * 41

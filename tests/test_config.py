@@ -214,12 +214,15 @@ class TestSectionShapes:
             (dict(RELAY_DEMO, sweep={"x_range": [1, 0]}),
              "sweep.x_range must satisfy low < high, got (1.0, 0.0)"),
             (dict(RELAY_DEMO, sweep={"ny": 1}), "sweep.ny must be an integer >= 2, got 1"),
+            (dict(RELAY_DEMO, sweep={"mode": "planar", "nx": 10**20}),
+             f"sweep.nx must be at most sys.maxsize = {sys.maxsize}, got {10**20}"),
             (dict(RELAY_DEMO, sweep={"mode": "polar"}),
              "sweep.mode must be one of ('normalized', 'planar'), got 'polar'"),
             (dict(RELAY_DEMO, sweep={"d3": 0}), "sweep.d3 must be positive and finite, got 0.0"),
         ],
         ids=["scenario-list", "output-path", "link-channel", "cascade-object", "sweep-range",
-             "sweep-count", "sweep-grid-range", "sweep-grid-count", "sweep-grid-mode", "sweep-grid-d3"],
+             "sweep-count", "sweep-grid-range", "sweep-grid-count", "sweep-grid-count-huge",
+             "sweep-grid-mode", "sweep-grid-d3"],
     )
     def test_message(self, doc, message):
         with pytest.raises(ValueError) as raised:

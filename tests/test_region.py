@@ -162,7 +162,7 @@ class TestGridSpec:
             GridSpec(x_range=bad)
         assert str(raised.value) == f"x_range {message}"
 
-    @pytest.mark.parametrize("n", [1, 0, -3, 2.5, True])
+    @pytest.mark.parametrize("n", [1, 0, -3, 2.5, True, 2**63])
     def test_grid_size_validation(self, n):
         with pytest.raises(ValueError, match="nx"):
             GridSpec(nx=n)
