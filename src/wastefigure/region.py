@@ -37,39 +37,36 @@ the kernel:
 
 Both kernels and the CSV writer take the grid points from the same
 float operations, i*step + lo with the last point hi: ``_linspace`` on
-Python floats, and ``_linspace_array``, which ``GridSpec.x_points``/
-``y_points`` return, on numpy arrays for the planar kernel (a Python list
-converted to an array would cost the planar sweep about 0.5 ms at 2001²).
+Python floats, bit for bit the ``np.linspace`` that ``GridSpec.x_points``/
+``y_points`` return for the planar kernel.
 
 A region is stored as the mask's x-major run-length encoding, the form
 the JSON output writes. A sweep builds it from the row ends in O(nx),
 and its area fraction is sum(hi - lo) / (nx * ny). The CSV writer walks
-the runs row by row, and ``region_subset`` compares runs; neither reads
-a cell. The mask itself is decoded only when a caller reads
-``FeasibilityRegion.mask``.
+the runs row by row and never reads a cell. The mask itself is decoded
+only when a caller reads ``FeasibilityRegion.mask``.
 
-numpy is imported only by the planar kernel, ``_linspace_array``,
-``FeasibilityRegion.mask``, the mask-taking constructor and the
-run-length encode/decode helpers, so a normalized sweep and its CSV and
-JSON files run without it.
+numpy is imported only by the planar kernel, ``GridSpec.x_points``/
+``y_points``, ``FeasibilityRegion.mask`` (and so ``region_subset``), the
+mask-taking constructor and the run-length encode/decode helpers, so a
+normalized sweep and its CSV and JSON files run without it.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
 from typing import TYPE_CHECKING
 
-from .fwa import FwaScenario
-from .relay import RelayScenario
 from .units import FLOAT_MAX, in_range
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .fwa import FwaScenario
+    from .relay import RelayScenario
 
 __all__ = [
     "GridSpec",
@@ -139,10 +136,10 @@ class GridSpec:
         )
 
     def x_points(self) -> np.ndarray:
-        return _linspace_array(*self.x_range, self.nx)
+        return _points(*self.x_range, self.nx)
 
     def y_points(self) -> np.ndarray:
-        return _linspace_array(*self.y_range, self.ny)
+        return _points(*self.y_range, self.ny)
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -161,14 +158,13 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return points
 
 
-def _linspace_array(lo: float, hi: float, n: int) -> np.ndarray:
-    """``_linspace`` as a numpy array, by the same float operations on each point."""
+def _points(lo: float, hi: float, n: int) -> np.ndarray:
+    """``np.linspace(lo, hi, n)``; a count numpy cannot size is a MemoryError, as in ``_linspace``."""
     import numpy as np
-    i, span = np.arange(n, dtype=float), hi - lo
-    step = span / (n - 1)
-    points = i * step + lo if step else i / (n - 1) * span + lo
-    points[-1] = hi
-    return points
+    try:
+        return np.linspace(lo, hi, n)
+    except (ValueError, IndexError):  # finite bounds and n >= 2: only sizing the array fails
+        raise MemoryError(f"{n} grid points do not fit in an array") from None
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -393,18 +389,7 @@ def region_subset(inner: FeasibilityRegion, outer: FeasibilityRegion) -> bool:
     """True iff every advantageous point of ``inner`` is advantageous in ``outer``."""
     if inner.spec != outer.spec:
         raise ValueError("region subset is only defined on identical grids")
-    # a run of inner's cells must lie in one run of outer's: runs are maximal,
-    # so an outer run that ends inside it is followed by cells outer leaves out
-    first, runs = outer._rle
-    ends = list(accumulate(runs))
-    start = 0
-    for k, n in enumerate(inner._rle[1], inner._rle[0]):  # run k holds the value k % 2
-        if k % 2:
-            r = bisect_right(ends, start)  # outer's run holding cell `start`
-            if not (first + r) % 2 or ends[r] < start + n:
-                return False
-        start += n
-    return True
+    return not (inner.mask & ~outer.mask).any()
 
 
 def write_region_csv(region: FeasibilityRegion, path) -> None:

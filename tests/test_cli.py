@@ -865,6 +865,16 @@ def test_grid_too_large_for_memory_exits_1():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("n", [sys.maxsize, sys.maxsize // 8], ids=["maxsize", "maxsize-over-8"])
+def test_planar_count_numpy_cannot_size_exits_1(scenario, n):
+    # numpy refuses both counts by arithmetic, before it allocates anything
+    doc = {"relay_scenario": RELAY_BODY, "sweep": {"mode": "planar", "nx": n}}
+    proc = run_python("-m", "wastefigure.cli", "relay", scenario(doc))
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == f"error: not enough memory: {n} grid points do not fit in an array"
+    assert "Traceback" not in proc.stderr
+
+
 def test_normalized_sweep_loads_no_numpy(scenario, tmp_path):
     # a fresh interpreter: the import, and a normalized sweep with CSV and JSON
     # output, leave numpy unloaded; a planar sweep then loads it and still works

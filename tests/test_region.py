@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -91,7 +92,7 @@ class TestGridSpec:
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
     def test_python_points_equal_numpy_linspace(self, data):
-        from wastefigure.region import _linspace, _linspace_array
+        from wastefigure.region import _linspace
 
         finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
         lo = data.draw(finite)
@@ -106,15 +107,17 @@ class TestGridSpec:
         assert {type(v) for v in got} == {float}
         want = np.linspace(lo, hi, n).view(np.int64)
         assert np.array_equal(np.array(got).view(np.int64), want)
-        assert np.array_equal(_linspace_array(lo, hi, n).view(np.int64), want)
+        grid = GridSpec(mode="planar", x_range=(lo, hi), nx=n, ny=2)
+        assert np.array_equal(grid.x_points().view(np.int64), want)
 
     @pytest.mark.parametrize("lo, hi, n", [(0.0, 1.5e-323, 7), (-1.0, -1.0 + 2**-52, 7), (-3.5, -0.25, 2)])
     def test_python_points_edge_cases(self, lo, hi, n):
-        from wastefigure.region import _linspace, _linspace_array
+        from wastefigure.region import _linspace
 
         want = np.linspace(lo, hi, n).view(np.int64)
         assert np.array_equal(np.array(_linspace(lo, hi, n)).view(np.int64), want)
-        assert np.array_equal(_linspace_array(lo, hi, n).view(np.int64), want)
+        grid = GridSpec(mode="planar", x_range=(lo, hi), nx=n, ny=2)
+        assert np.array_equal(grid.x_points().view(np.int64), want)
 
     def test_grid_points_are_the_python_points(self):
         from wastefigure.region import _linspace
@@ -223,6 +226,14 @@ class TestSweepRelay:
         region = sweep_relay(relay_scn(), GridSpec(nx=5, ny=5))
         with pytest.raises(ValueError):
             region.mask[0, 0] = True
+
+    @pytest.mark.parametrize("n", [sys.maxsize, sys.maxsize // 8])
+    @pytest.mark.parametrize("axis", ["nx", "ny"])
+    def test_planar_count_numpy_cannot_size_is_memory_error(self, axis, n):
+        # numpy refuses both counts by arithmetic, before it allocates anything
+        spec = GridSpec(mode="planar", **{axis: n})
+        with pytest.raises(MemoryError, match=f"^{n} grid points do not fit in an array$"):
+            sweep_relay(relay_scn(), spec)
 
 
 class TestNormalizedKernelOnPythonFloats:
