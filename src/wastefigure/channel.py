@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cascade import Stage
-from .units import in_range
+from .units import finite_ratio, in_range
 
 __all__ = ["PathLossChannel", "channel_gain", "channel_waste"]
 
@@ -50,7 +50,7 @@ class PathLossChannel:
             ) from None
 
     def waste(self) -> float:
-        return 1.0 / self.gain()
+        return finite_ratio("channel waste 1/gain", 1.0, self.gain())
 
     def as_stage(self, label: str = "channel") -> Stage:
         """The channel as a passive stage, ready to drop into a cascade."""

@@ -172,8 +172,6 @@ def _read_channel(section: dict, key: str, where: str, default) -> tuple:
         if not 0.0 < gain <= 1.0:
             raise ValueError(f"{where}: channel gain must be in (0, 1], got {gain!r}")
         return gain, None
-    if path_loss_keys != {"k", "alpha", "distance"}:
-        raise ValueError(f"{where}: path-loss form needs k, alpha and distance")
     ch = _PATH_LOSS.record(section, where)
     return ch.gain(), ch
 

@@ -28,7 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .units import FLOAT_MAX
+from .units import FLOAT_MAX, finite_ratio
 
 __all__ = [
     "ApproximationRegimeWarning",
@@ -128,7 +128,10 @@ class SnrSpec:
 
 def snr_min(spec: SnrSpec) -> float:
     """Smallest SNR supporting the target spectral efficiency: 2**eta - 1."""
-    return 2.0**spec.spectral_efficiency - 1.0
+    try:
+        return 2.0**spec.spectral_efficiency - 1.0
+    except OverflowError:
+        raise ValueError(f"snr_min: 2**{spec.spectral_efficiency!r} is outside the float range") from None
 
 
 def min_consumed_power(snr_min_: float, p_noise: float, w: float, p_np: float = 0.0) -> float:
@@ -163,14 +166,14 @@ def consumption_factor(
             "required SNR are zero (no power is consumed)"
         )
     rate = bandwidth * math.log1p(snr) / LN2
-    return rate / min_consumed_power(required, p_noise, w, p_np)
+    return finite_ratio("consumption factor", rate, min_consumed_power(required, p_noise, w, p_np))
 
 
 def wideband_rate_limit(p_s: float, n0: float) -> float:
     """Rate ceiling as bandwidth grows without bound: (p_s/n0) / ln2."""
     _require("p_s", p_s, minimum=0.0, exclusive=True)
     _require("n0", n0, minimum=0.0, exclusive=True)
-    return p_s / n0 / LN2
+    return finite_ratio("wideband rate limit (p_s/n0)/ln2", p_s / n0, LN2)
 
 
 def energy_per_bit_min(ctx: EnergyContext, w: float) -> float:
@@ -179,15 +182,11 @@ def energy_per_bit_min(ctx: EnergyContext, w: float) -> float:
     return ctx.p_np / ctx.capacity + LN2 * ctx.n0 * w
 
 
-def _finite_waste(name: str, num: float, t: LinkTerminals, g_ch: float) -> float:
-    """Link waste num / (g_rx * g_ch) for a valid g_ch, named when not a finite float."""
-    if not (0.0 < g_ch <= 1.0) or not math.isfinite(g_ch):
+def _received(t: LinkTerminals, g_ch: float) -> float:
+    """The received fraction g_rx * g_ch, for a g_ch in (0, 1]."""
+    if not 0.0 < g_ch <= 1.0:
         raise ValueError(f"g_ch must be in (0, 1] and finite, got {g_ch!r}")
-    den = t.g_rx * g_ch
-    w = num / den if den > 0.0 else math.inf
-    if not math.isfinite(w):
-        raise ValueError(f"{name} = {num!r} / {den!r} is outside the float range")
-    return w
+    return t.g_rx * g_ch
 
 
 def link_waste(t: LinkTerminals, g_ch: float) -> float:
@@ -198,13 +197,14 @@ def link_waste(t: LinkTerminals, g_ch: float) -> float:
 
         W = (g_rx * g_ch * w_rx + w_tx - g_ch) / (g_rx * g_ch)
     """
-    num = t.g_rx * g_ch * t.w_rx + t.w_tx - g_ch
-    return _finite_waste("link waste (g_rx*g_ch*w_rx + w_tx - g_ch)/(g_rx*g_ch)", num, t, g_ch)
+    den = _received(t, g_ch)
+    num = den * t.w_rx + t.w_tx - g_ch
+    return finite_ratio("link waste (g_rx*g_ch*w_rx + w_tx - g_ch)/(g_rx*g_ch)", num, den)
 
 
 def link_waste_approx(t: LinkTerminals, g_ch: float) -> float:
     """Wide-coverage approximation of the link waste: w_tx / (g_rx * g_ch)."""
-    return _finite_waste("approximate link waste w_tx/(g_rx*g_ch)", t.w_tx, t, g_ch)
+    return finite_ratio("approximate link waste w_tx/(g_rx*g_ch)", t.w_tx, _received(t, g_ch))
 
 
 def energy_per_bit_link(

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .energy import LN2, EnergyContext, _check_regime, _require
+from .units import finite_ratio
 
 __all__ = [
     "RelayScenario",
@@ -102,16 +103,9 @@ def _hop_waste(w_tx: float, g_rx: float, d: float, alpha: float, k: float, hop: 
     """Wide-coverage waste of one hop: w_tx / (g_rx * g_hop), g_hop = k/d**alpha."""
     try:
         g_hop = k / d**alpha
-        waste = w_tx / (g_rx * g_hop)
     except (OverflowError, ZeroDivisionError):
-        raise ValueError(
-            f"{hop}: d**alpha = {d!r}**{alpha!r} is outside the float range"
-        ) from None
-    if not math.isfinite(waste):
-        raise ValueError(
-            f"{hop}: waste w_tx / (g_rx * k / d**alpha) = "
-            f"{w_tx!r} / ({g_rx!r} * {k!r} / {d!r}**{alpha!r}) is outside the float range"
-        )
+        raise ValueError(f"{hop}: d**alpha = {d!r}**{alpha!r} is outside the float range") from None
+    waste = finite_ratio(f"{hop}: waste w_tx / (g_rx * k / d**alpha)", w_tx, g_rx * g_hop)
     _check_regime(g_rx * g_hop, hop)
     return waste
 
@@ -163,24 +157,17 @@ class Rule(NamedTuple):
             raise ValueError(
                 f"the advantageous region is an ellipse only at alpha = 2, got {self.alpha!r}"
             )
-        axes = tuple(math.sqrt(1.0 / w) if w > 0.0 else math.inf for w in (self.a, self.b))
-        if math.inf in axes:
-            raise ValueError(
-                f"ellipse axes: sqrt(1/A), sqrt(1/B) with A = {self.a!r}, B = {self.b!r} "
-                "are outside the float range"
-            )
-        return axes
+        return tuple(
+            math.sqrt(finite_ratio(f"ellipse axes: 1/{n}", 1.0, w))
+            for n, w in zip("AB", (self.a, self.b))
+        )
 
 
 def _compare(s, e3: float, e12: float) -> tuple:
     """Verdict fields (e_direct, e_relayed, ratio, margin > 0, rule margin), all finite."""
     if not 0.0 < e3 < math.inf:
         raise ValueError(f"direct energy per bit = {e3!r} is outside the float range")
-    ratio = e12 / e3
-    if not math.isfinite(ratio):
-        raise ValueError(
-            f"energy ratio (assisted/direct) = {e12!r} / {e3!r} is outside the float range"
-        )
+    ratio = finite_ratio("energy ratio (assisted/direct)", e12, e3)
     margin = s._rule().margin(s.d1, s.d2, s.d3)
     if not math.isfinite(margin):
         raise ValueError(

@@ -28,6 +28,15 @@ def in_range(
         raise ValueError(f"{name} must be a number, got {value!r}") from None
 
 
+def finite_ratio(name: str, num: float, den: float) -> float:
+    """``num / den``, with a denominator that underflowed to 0 counted as infinite;
+    a quotient that is not a finite float is a ValueError naming ``name``."""
+    ratio = num / den if den else math.inf
+    if not math.isfinite(ratio):
+        raise ValueError(f"{name} = {num!r} / {den!r} is outside the float range")
+    return ratio
+
+
 def db_to_linear(value_db: float) -> float:
     """Convert a power quantity in dB to a linear ratio."""
     if not math.isfinite(value_db):

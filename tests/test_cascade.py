@@ -303,8 +303,14 @@ def reference_terms(c):
 
 def reference_cascade_waste(c):
     total = 1.0
-    for term in reference_terms(c):
+    terms = reference_terms(c)
+    for term in terms:
         total += term
+    if total == math.inf:
+        raise ValueError(
+            "cascade waste W = 1 + sum of stage terms is outside the float range "
+            f"(each of the {len(terms)} terms is finite)"
+        )
     return total
 
 

@@ -703,17 +703,25 @@ class TestCliContract:
         assert "outside the float range" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    OVERFLOWING = dict(alpha=6.1, d1=5e49, d2=6e49, d3=1e50)
+    # the received fraction g_rx * k / d**alpha underflows to 0 at a finite d**alpha = 1e30
+    UNDERFLOWING = dict(alpha=10.0, d3=1000.0)
+
     @pytest.mark.parametrize("command, section, body, hop", [
         ("relay", "relay_scenario",
-         dict(RELAY_BODY, g_rx_relay_db=-50.0, g_rx_sink_db=-50.0), "direct hop"),
+         dict(RELAY_BODY, g_rx_relay_db=-50.0, g_rx_sink_db=-50.0, **OVERFLOWING), "direct hop"),
         ("fwa", "fwa_scenario",
-         dict(FWA_BODY, g_rx_ue_db=-50.0, g_rx_bs_db=-50.0, g_rx_ap_db=-50.0),
+         dict(FWA_BODY, g_rx_ue_db=-50.0, g_rx_bs_db=-50.0, g_rx_ap_db=-50.0, **OVERFLOWING),
          "direct uplink"),
+        ("relay", "relay_scenario",
+         dict(RELAY_BODY, g_rx_sink_db=-3000.0, **UNDERFLOWING), "direct hop"),
+        ("fwa", "fwa_scenario",
+         dict(FWA_BODY, g_rx_bs_db=-3000.0, **UNDERFLOWING), "direct uplink"),
     ])
     def test_overflowing_waste_exits_1_naming_the_hop(
         self, scenario, command, section, body, hop
     ):
-        doc = {section: dict(body, alpha=6.1, d1=5e49, d2=6e49, d3=1e50)}
+        doc = {section: body}
         proc = run_python("-m", "wastefigure.cli", command, scenario(doc))
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"error: {hop}: waste ")

@@ -219,10 +219,14 @@ class TestSectionShapes:
             (dict(RELAY_DEMO, sweep={"mode": "polar"}),
              "sweep.mode must be one of ('normalized', 'planar'), got 'polar'"),
             (dict(RELAY_DEMO, sweep={"d3": 0}), "sweep.d3 must be positive and finite, got 0.0"),
+            # a partial or empty path-loss channel names its first missing field
+            ({"link": dict(LINK_DEMO["link"], channel={"k": 1e-4, "alpha": 2.0})},
+             "link.channel: missing required field distance"),
+            ({"link": dict(LINK_DEMO["link"], channel={})}, "link.channel: missing required field k"),
         ],
         ids=["scenario-list", "output-path", "link-channel", "cascade-object", "sweep-range",
              "sweep-count", "sweep-grid-range", "sweep-grid-count", "sweep-grid-count-huge",
-             "sweep-grid-mode", "sweep-grid-d3"],
+             "sweep-grid-mode", "sweep-grid-d3", "link-channel-partial", "link-channel-empty"],
     )
     def test_message(self, doc, message):
         with pytest.raises(ValueError) as raised:

@@ -33,6 +33,8 @@ from wastefigure import (
     Stage,
     TrafficMix,
     cascade_waste,
+    channel_waste,
+    consumption_factor,
     contribution_report,
     decision_rule_holds,
     fwa_ratio,
@@ -41,6 +43,8 @@ from wastefigure import (
     max_efficient_distance,
     relay_ratio,
     relay_verdict,
+    snr_min,
+    wideband_rate_limit,
 )
 from wastefigure.cli import main
 from wastefigure.config import parse_scenario
@@ -242,6 +246,35 @@ class TestLibraryNamedErrors:
         with pytest.raises(ValueError) as raised:
             build()
         assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "build, named",
+        [
+            # g_rx * k / d**alpha underflows to 0 although d**alpha = 1e30 is finite
+            (lambda: relay_verdict(RelayScenario(
+                **dict(RECORDS[RelayScenario], g_rx_sink=1e-300, alpha=10.0, d3=1000.0))),
+             "direct hop: waste "),
+            (lambda: fwa_verdict(FwaScenario(
+                **dict(RECORDS[FwaScenario], g_rx_bs=1e-300, alpha=10.0, d3=1000.0))),
+             "direct uplink: waste "),
+            (lambda: consumption_factor(1e308, 1e308, 0.0, 1e308, 1e308),
+             "consumption factor = inf / inf "),
+            (lambda: wideband_rate_limit(1e300, 1e-300), "wideband rate limit "),
+            (lambda: channel_waste(PathLossChannel(k=5e-324, alpha=2.0, distance=1e150)),
+             "channel waste 1/gain = 1.0 / 0.0 "),
+            (lambda: channel_waste(PathLossChannel(k=1e-300, alpha=2.0, distance=1e10)),
+             "channel waste 1/gain = 1.0 / 1e-320 "),
+            (lambda: snr_min(SnrSpec(2000.0)), "snr_min: 2**2000.0 "),
+        ],
+        ids=["relay-hop-underflow", "fwa-hop-underflow", "consumption-factor",
+             "wideband-rate-limit", "channel-gain-zero", "channel-gain-subnormal", "snr-min"],
+    )
+    def test_value_outside_the_float_range_is_named(self, build, named):
+        with pytest.raises(ValueError) as raised:
+            build()
+        message = str(raised.value)
+        assert message.startswith(named)
+        assert message.endswith(" is outside the float range")
 
     def test_max_efficient_distance_overflow_is_named(self):
         ctx = EnergyContext(n0=4e-21, capacity=1e8, p_np=1e10)
