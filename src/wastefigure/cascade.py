@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .units import FLOAT_MAX, in_range
+from .units import FLOAT_MAX, finite, finite_ratio, in_range
 
 __all__ = [
     "Stage",
@@ -133,11 +133,8 @@ class Cascade:
             excess = st.waste - 1.0
             term = excess / after if after > 0.0 else (inf if excess else 0.0)
             if term == inf:
-                idx = len(self.stages) - 1 - len(terms)
-                raise ValueError(
-                    f"{st.label or f'stage {idx + 1}'}: term (W - 1) / (gain after it) = "
-                    f"{excess!r} / {after!r} is outside the float range"
-                )
+                name = st.label or f"stage {len(self.stages) - len(terms)}"
+                finite_ratio(f"{name}: term (W - 1) / (gain after it)", excess, after)  # raises
             terms.append(term)
             total += term
             after *= st.gain
@@ -163,7 +160,7 @@ def stage_waste_two(w1: float, w2: float, g2: float) -> float:
     _require_waste("w1", w1)
     _require_waste("w2", w2)
     _require_gain("g2", g2)
-    return w2 + (w1 - 1.0) / g2
+    return finite("two-stage waste w2 + (w1 - 1)/g2", w2 + (w1 - 1.0) / g2)
 
 
 def cascade_waste(c: Cascade) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cascade import Stage
-from .units import finite_ratio, in_range
+from .units import finite_power, finite_ratio, in_range
 
 __all__ = ["PathLossChannel", "channel_gain", "channel_waste"]
 
@@ -41,13 +41,7 @@ class PathLossChannel:
             )
 
     def gain(self) -> float:
-        try:
-            return self.k / self.distance**self.alpha
-        except (OverflowError, ZeroDivisionError):
-            raise ValueError(
-                f"channel: distance**alpha = {self.distance!r}**{self.alpha!r} "
-                "is outside the float range"
-            ) from None
+        return self.k / finite_power("channel: distance**alpha", self.distance, self.alpha)
 
     def waste(self) -> float:
         return finite_ratio("channel waste 1/gain", 1.0, self.gain())

@@ -167,13 +167,11 @@ def _read_channel(section: dict, key: str, where: str, default) -> tuple:
             f"{where}: give either k/alpha/distance or gain, not both "
             f"({sorted(path_loss_keys | gain_keys)})"
         )
-    if gain_keys:
-        gain = _ratio(section, "gain", where)
-        if not 0.0 < gain <= 1.0:
-            raise ValueError(f"{where}: channel gain must be in (0, 1], got {gain!r}")
-        return gain, None
-    ch = _PATH_LOSS.record(section, where)
-    return ch.gain(), ch
+    ch = None if gain_keys else _PATH_LOSS.record(section, where)  # rejects > 1, not 0
+    gain = _ratio(section, "gain", where) if ch is None else ch.gain()
+    if not 0.0 < gain <= 1.0:
+        raise ValueError(f"{where}: channel gain must be in (0, 1], got {gain!r}")
+    return gain, ch
 
 
 def _channel_echo(setup: LinkSetup, attr: str) -> dict:

@@ -28,7 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .units import FLOAT_MAX, finite_ratio
+from .units import FLOAT_MAX, finite, finite_power, finite_ratio
 
 __all__ = [
     "ApproximationRegimeWarning",
@@ -123,7 +123,7 @@ class SnrSpec:
         _require("margin", self.margin, minimum=1.0)
 
     def operating_snr(self) -> float:
-        return self.margin * snr_min(self)
+        return finite("operating SNR margin*snr_min", self.margin * snr_min(self))
 
 
 def snr_min(spec: SnrSpec) -> float:
@@ -134,13 +134,19 @@ def snr_min(spec: SnrSpec) -> float:
         raise ValueError(f"snr_min: 2**{spec.spectral_efficiency!r} is outside the float range") from None
 
 
-def min_consumed_power(snr_min_: float, p_noise: float, w: float, p_np: float = 0.0) -> float:
-    """Minimum consumed power to close the link: p_np + snr_min * p_noise * w."""
+def _consumed_power(snr_min_: float, p_noise: float, w: float, p_np: float) -> float:
+    """p_np + snr_min * p_noise * w of checked inputs; inf where the sum overflows."""
     _require("snr_min", snr_min_, minimum=0.0)
     _require("p_noise", p_noise, minimum=0.0, exclusive=True)
     _require("w", w, minimum=1.0)
     _require("p_np", p_np, minimum=0.0)
     return p_np + snr_min_ * p_noise * w
+
+
+def min_consumed_power(snr_min_: float, p_noise: float, w: float, p_np: float = 0.0) -> float:
+    """Minimum consumed power to close the link: p_np + snr_min * p_noise * w."""
+    power = _consumed_power(snr_min_, p_noise, w, p_np)
+    return finite("minimum consumed power p_np + snr_min*p_noise*w", power)
 
 
 def consumption_factor(
@@ -166,7 +172,7 @@ def consumption_factor(
             "required SNR are zero (no power is consumed)"
         )
     rate = bandwidth * math.log1p(snr) / LN2
-    return finite_ratio("consumption factor", rate, min_consumed_power(required, p_noise, w, p_np))
+    return finite_ratio("consumption factor", rate, _consumed_power(required, p_noise, w, p_np))
 
 
 def wideband_rate_limit(p_s: float, n0: float) -> float:
@@ -179,7 +185,7 @@ def wideband_rate_limit(p_s: float, n0: float) -> float:
 def energy_per_bit_min(ctx: EnergyContext, w: float) -> float:
     """Minimum consumed energy per bit at capacity: p_np/C + ln2*n0*w."""
     _require("w", w, minimum=1.0)
-    return ctx.p_np / ctx.capacity + LN2 * ctx.n0 * w
+    return finite("energy per bit p_np/C + ln2*n0*w", ctx.p_np / ctx.capacity + LN2 * ctx.n0 * w)
 
 
 def _received(t: LinkTerminals, g_ch: float) -> float:
@@ -225,7 +231,8 @@ def energy_per_bit_link(
         _check_regime(t.g_rx * g_ch, "energy_per_bit_link")
     else:
         raise ValueError(f"mode must be 'exact' or 'approximate', got {mode!r}")
-    return ctx.p_np / ctx.capacity + LN2 * ctx.n0 * w
+    e_b = ctx.p_np / ctx.capacity + LN2 * ctx.n0 * w
+    return finite("link energy per bit p_np/C + ln2*n0*W", e_b)
 
 
 def max_efficient_distance(
@@ -245,18 +252,13 @@ def max_efficient_distance(
     _require("k", k, minimum=0.0, exclusive=True)
     _require("alpha", alpha, minimum=0.0, exclusive=True)
     n0c = ctx.n0 * ctx.capacity
-    try:
-        braced = (k / (t.w_tx * LN2 * n0c)) * (
-            ctx.p_np * t.g_rx + n0c * LN2 * (1.0 - t.g_rx * t.w_rx)
-        )
-        if braced <= 0.0:
-            return None
-        d_max = braced ** (1.0 / alpha)
-    except (OverflowError, ZeroDivisionError):
-        d_max = math.nan
-    if d_max < math.inf:
-        return d_max
-    raise ValueError(
+    den = t.w_tx * LN2 * n0c  # 0 only where N0*C underflowed: the base is then nan
+    braced = (k / den if den else math.nan) * (
+        ctx.p_np * t.g_rx + n0c * LN2 * (1.0 - t.g_rx * t.w_rx)
+    )
+    if braced <= 0.0:
+        return None
+    return finite_power(
         "max efficient distance: (k / (w_tx ln2 N0 C) * (p_np g_rx + N0 C ln2 (1 - g_rx w_rx)))"
-        f"**(1/alpha) with k = {k!r}, alpha = {alpha!r} is outside the float range"
+        "**(1/alpha)", braced, 1.0 / alpha
     )

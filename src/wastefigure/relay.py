@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .energy import LN2, EnergyContext, _check_regime, _require
-from .units import finite_ratio
+from .units import finite, finite_power, finite_ratio
 
 __all__ = [
     "RelayScenario",
@@ -101,10 +101,7 @@ class RelayVerdict:
 
 def _hop_waste(w_tx: float, g_rx: float, d: float, alpha: float, k: float, hop: str) -> float:
     """Wide-coverage waste of one hop: w_tx / (g_rx * g_hop), g_hop = k/d**alpha."""
-    try:
-        g_hop = k / d**alpha
-    except (OverflowError, ZeroDivisionError):
-        raise ValueError(f"{hop}: d**alpha = {d!r}**{alpha!r} is outside the float range") from None
+    g_hop = k / finite_power(f"{hop}: d**alpha", d, alpha)
     waste = finite_ratio(f"{hop}: waste w_tx / (g_rx * k / d**alpha)", w_tx, g_rx * g_hop)
     _check_regime(g_rx * g_hop, hop)
     return waste
@@ -144,11 +141,7 @@ class Rule(NamedTuple):
         """A sweep's constant side: d3**alpha - c, or 1 - c / d3**alpha on normalized axes."""
         if normalized and self.c == 0.0:
             return 1.0
-        d3_alpha = self.power(d3)
-        if not 0.0 < d3_alpha < math.inf:
-            raise ValueError(
-                f"sweep: d3**alpha = {d3!r}**{self.alpha!r} is outside the float range"
-            )
+        d3_alpha = finite_power("sweep: d3**alpha", d3, self.alpha)
         return 1.0 - self.c / d3_alpha if normalized else d3_alpha - self.c
 
     def axes(self) -> tuple[float, float]:
@@ -168,12 +161,8 @@ def _compare(s, e3: float, e12: float) -> tuple:
     if not 0.0 < e3 < math.inf:
         raise ValueError(f"direct energy per bit = {e3!r} is outside the float range")
     ratio = finite_ratio("energy ratio (assisted/direct)", e12, e3)
-    margin = s._rule().margin(s.d1, s.d2, s.d3)
-    if not math.isfinite(margin):
-        raise ValueError(
-            f"rule margin d3**alpha - (A*d1**alpha + B*d2**alpha) - C = {margin!r} "
-            "is outside the float range"
-        )
+    margin = finite("rule margin d3**alpha - (A*d1**alpha + B*d2**alpha) - C",
+                    s._rule().margin(s.d1, s.d2, s.d3))
     return e3, e12, ratio, margin > 0.0, margin
 
 

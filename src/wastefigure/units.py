@@ -37,6 +37,25 @@ def finite_ratio(name: str, num: float, den: float) -> float:
     return ratio
 
 
+def finite_power(name: str, base: float, exp: float) -> float:
+    """``base**exp`` for a positive base; a power that overflows or underflows to 0
+    is a ValueError naming ``name``."""
+    try:
+        power = base**exp
+    except OverflowError:
+        power = math.inf
+    if 0.0 < power <= FLOAT_MAX:
+        return power
+    raise ValueError(f"{name} = {base!r}**{exp!r} is outside the float range")
+
+
+def finite(name: str, value: float) -> float:
+    """``value`` if it is finite; otherwise a ValueError naming ``name``."""
+    if math.isfinite(value):
+        return value
+    raise ValueError(f"{name} = {value!r} is outside the float range")
+
+
 def db_to_linear(value_db: float) -> float:
     """Convert a power quantity in dB to a linear ratio."""
     if not math.isfinite(value_db):

@@ -742,6 +742,14 @@ class TestCliContract:
         assert "outside the float range" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_link_channel_gain_underflowing_to_zero_names_the_section(self, scenario):
+        # the channel is valid, but k / distance**alpha underflows to 0.0
+        doc = json.loads((ROOT / "scenarios" / "link.json").read_text())
+        doc["link"]["channel"].update(k=5e-324, alpha=1.0, distance=1e150)
+        proc = run_python("-m", "wastefigure.cli", "link", scenario(doc))
+        assert proc.returncode == 1
+        assert proc.stderr == "error: link.channel: channel gain must be in (0, 1], got 0.0\n"
+
     @pytest.mark.parametrize("doc, named", [
         ({"relay_scenario": dict(RELAY_BODY, g_rx_relay_db=4000)},
          "relay_scenario.g_rx_relay_db: dB value 4000.0 is outside the float range"),

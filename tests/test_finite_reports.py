@@ -34,16 +34,21 @@ from wastefigure import (
     TrafficMix,
     cascade_waste,
     channel_waste,
+    compose_subsystems,
     consumption_factor,
     contribution_report,
     decision_rule_holds,
+    energy_per_bit_link,
+    energy_per_bit_min,
     fwa_ratio,
     fwa_verdict,
     link_waste,
     max_efficient_distance,
+    min_consumed_power,
     relay_ratio,
     relay_verdict,
     snr_min,
+    stage_waste_two,
     wideband_rate_limit,
 )
 from wastefigure.cli import main
@@ -265,9 +270,23 @@ class TestLibraryNamedErrors:
             (lambda: channel_waste(PathLossChannel(k=1e-300, alpha=2.0, distance=1e10)),
              "channel waste 1/gain = 1.0 / 1e-320 "),
             (lambda: snr_min(SnrSpec(2000.0)), "snr_min: 2**2000.0 "),
+            # sums: p_np / capacity, the term (w1 - 1) / g2 or a product overflows
+            (lambda: energy_per_bit_min(EnergyContext(1e-20, 1e-300, 1e300), 1.0),
+             "energy per bit p_np/C + ln2*n0*w = inf "),
+            (lambda: energy_per_bit_link(
+                EnergyContext(1e-20, 1e-300, 1e300), LinkTerminals(2.0, 1.5, 10.0), 1e-6),
+             "link energy per bit p_np/C + ln2*n0*W = inf "),
+            (lambda: stage_waste_two(1e308, 1.0, 1e-10), "two-stage waste w2 + (w1 - 1)/g2 = inf "),
+            (lambda: compose_subsystems(1e308, 1.0, 1e-10),
+             "two-stage waste w2 + (w1 - 1)/g2 = inf "),
+            (lambda: min_consumed_power(1e308, 1e308, 1.0),
+             "minimum consumed power p_np + snr_min*p_noise*w = inf "),
+            (lambda: SnrSpec(1000.0, 1e300).operating_snr(), "operating SNR margin*snr_min = inf "),
         ],
         ids=["relay-hop-underflow", "fwa-hop-underflow", "consumption-factor",
-             "wideband-rate-limit", "channel-gain-zero", "channel-gain-subnormal", "snr-min"],
+             "wideband-rate-limit", "channel-gain-zero", "channel-gain-subnormal", "snr-min",
+             "energy-per-bit-min", "energy-per-bit-link", "stage-waste-two",
+             "compose-subsystems", "min-consumed-power", "operating-snr"],
     )
     def test_value_outside_the_float_range_is_named(self, build, named):
         with pytest.raises(ValueError) as raised:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wastefigure import db_to_linear, linear_to_db
+from wastefigure.units import finite, finite_power
 
 
 def test_db_to_linear_known_points():
@@ -52,3 +53,24 @@ def test_db_to_linear_rejects_nonfinite(bad):
 def test_db_to_linear_overflow_is_a_named_error(big):
     with pytest.raises(ValueError, match=re.escape(f"dB value {big!r} is outside the float range")):
         db_to_linear(big)
+
+
+def test_finite_power_and_finite_pass_values_in_range():
+    assert finite_power("p", 10.0, 2.0) == 100.0
+    assert finite_power("p", 1e-300, 1.05) > 0.0  # a subnormal power is still in range
+    assert finite("v", -1e308) == -1e308
+    assert finite("v", 0.0) == 0.0
+
+
+@pytest.mark.parametrize("base, exp", [(1e200, 2.0), (1e-200, 2.0), (2.0, 1e300)])
+def test_finite_power_names_an_overflow_or_an_underflow_to_zero(base, exp):
+    with pytest.raises(ValueError) as raised:
+        finite_power("sweep: d3**alpha", base, exp)
+    assert str(raised.value) == f"sweep: d3**alpha = {base!r}**{exp!r} is outside the float range"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_finite_names_a_non_finite_value(bad):
+    with pytest.raises(ValueError) as raised:
+        finite("energy per bit", bad)
+    assert str(raised.value) == f"energy per bit = {bad!r} is outside the float range"
