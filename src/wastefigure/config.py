@@ -51,9 +51,6 @@ class LinkSetup:
     g_ch: float
     channel: PathLossChannel | None  # present when given as k/alpha/distance
 
-    def to_config(self) -> dict:
-        return {"link": _LINK.config(self)}
-
 
 @dataclass(frozen=True)
 class OutputSpec:
@@ -159,8 +156,8 @@ def _read_channel(section: dict, key: str, where: str, default) -> tuple:
     if key not in section:
         return _absent(default, where, f"section {key}")
     where = f"{where}.{key}"
-    section = _mapping(section[key], {"k", "alpha", "distance", "gain", "gain_db"}, where)
-    path_loss_keys = {"k", "alpha", "distance"} & set(section)
+    section = _mapping(section[key], _PATH_LOSS.allowed | {"gain", "gain_db"}, where)
+    path_loss_keys = _PATH_LOSS.allowed & set(section)
     gain_keys = {"gain", "gain_db"} & set(section)
     if path_loss_keys and gain_keys:
         raise ValueError(
@@ -190,15 +187,16 @@ class _Table:
     """A section's field table, rows ``(key, reader[, default[, attr]])`` in echo order.
 
     ``default`` is None (the field is required) and ``attr`` the key when left
-    out. ``record`` parses a section, ``config`` echoes a record, and the table
-    is also the reader of its section when nested.
+    out. ``record`` parses a section, ``config`` echoes a record (``to_config``
+    under its scenario ``section``), and nested, the table reads its section.
     """
 
     suffixes = ("",)
 
-    def __init__(self, cls, *rows):
+    def __init__(self, cls, *rows, section=None):
         rows = [row + (None, row[0])[len(row) - 2 :] for row in rows]
         self.allowed = frozenset(key + s for key, reader, *_ in rows for s in reader.suffixes)
+        self.section = section
         # compiled to one constructor call and one dict display: row loops took twice as long
         env = {"cls": cls}
         for i, (key, reader, default, attr) in enumerate(rows):
@@ -206,8 +204,10 @@ class _Table:
         build = ", ".join(f"{a}=r{i}(s, {k!r}, w, d{i})" for i, (k, _, _, a) in enumerate(rows))
         echo = ", ".join(f"{k!r}: x.{a}" if r.echo is getattr else f"{k!r}: e{i}(x, {a!r})"
                          for i, (k, r, _, a) in enumerate(rows))
-        self.build = eval(f"lambda s, w: cls({build})", env)
-        self.config = eval(f"lambda x: {{{echo}}}", env)
+        self.build, self.config = eval(f"lambda s, w: cls({build}), lambda x: {{{echo}}}", env)
+        if section is not None:  # the same dict display, under the section's name
+            self.to_config = eval(f"lambda x: {{{section!r}: {{{echo}}}}}", env)
+            self.to_config.__doc__ = "Scenario as a config mapping (linear units, re-parseable)."
 
     def record(self, section, where: str):
         return self.build(_mapping(section, self.allowed, where), where)
@@ -235,6 +235,7 @@ _LINK = _Table(
     ("terminals", _TERMINALS),
     ("channel", _Reader(_read_channel, echo=_channel_echo)),
     ("energy", _ENERGY, None, "ctx"),
+    section="link",
 )
 # the two-hop geometry, after the relay's or the FWA layout's hardware rows
 _GEOMETRY = (("alpha", _NUM), ("k", _NUM, 1.0), ("d1", _NUM), ("d2", _NUM), ("d3", _NUM))
@@ -243,6 +244,7 @@ _RELAY = _Table(
     ("w_tx_source", _RATIO), ("w_tx_relay", _RATIO), ("g_rx_relay", _RATIO), ("g_rx_sink", _RATIO),
     *_GEOMETRY,
     ("energy", _ENERGY, None, "ctx"),
+    section="relay_scenario",
 )
 _FWA = _Table(
     FwaScenario,
@@ -251,16 +253,17 @@ _FWA = _Table(
     ("rho_u", _UPLINK, None, "traffic"),
     *_GEOMETRY,
     ("energy", _ENERGY, None, "ctx"),
+    section="fwa_scenario",
 )
 _OUTPUT = _Table(OutputSpec, ("csv", _PATH), ("json", _PATH))
 
-# The two-hop records echo through their tables, bound here once; the package
-# imports this module, so every record has its ``_config``.
-RelayScenario._config = _RELAY.config
-FwaScenario._config = _FWA.config
+# bound once here: the package imports this module, so every scenario record has its echo
+LinkSetup.to_config, RelayScenario.to_config, FwaScenario.to_config = (
+    t.to_config for t in (_LINK, _RELAY, _FWA))
 
 
 _STAGE_KEYS = frozenset({"label", "gain", "gain_db", "waste", "waste_db", "passive"})
+_SWEEP_KEYS = frozenset(field.name for field in dataclasses.fields(GridSpec))
 
 
 def _parse_stage(entry, index: int) -> Stage:
@@ -311,7 +314,7 @@ def _read_count(section: dict, key: str, where: str) -> int:
 
 def _parse_sweep(section, default_d3: float) -> GridSpec:
     where = "sweep"
-    section = _mapping(section, {"mode", "x_range", "y_range", "nx", "ny", "d3"}, where)
+    section = _mapping(section, _SWEEP_KEYS, where)
     mode = section.get("mode", "normalized")
     d3 = _num(section, "d3", where, default_d3)
     fields = {"x_range": _read_range, "y_range": _read_range, "nx": _read_count, "ny": _read_count}
@@ -324,11 +327,8 @@ def _parse_sweep(section, default_d3: float) -> GridSpec:
 
 
 # scenario section -> (kind, parser); a cascade is a list of stages, not a table
-_KINDS = {
-    "cascade": ("cascade", _parse_cascade),
-    "link": ("link", _LINK.record),
-    "relay_scenario": ("relay", _RELAY.record),
-    "fwa_scenario": ("fwa", _FWA.record),
+_KINDS = {"cascade": ("cascade", _parse_cascade)} | {
+    t.section: (t.section.removesuffix("_scenario"), t.record) for t in (_LINK, _RELAY, _FWA)
 }
 
 
@@ -343,10 +343,10 @@ def parse_scenario(data) -> ScenarioFile:
         )
     kind, parse = _KINDS[present[0]]
     record = parse(data[present[0]], present[0])
-    sweep = _parse_sweep(data["sweep"], getattr(record, "d3", 1.0)) if "sweep" in data else None
-    output = _OUTPUT.record(data["output"], "output") if "output" in data else ScenarioFile.output
-    if sweep is not None and kind not in ("relay", "fwa"):
+    if "sweep" in data and kind not in ("relay", "fwa"):
         raise ValueError("sweep sections apply to relay_scenario and fwa_scenario only")
+    sweep = _parse_sweep(data["sweep"], record.d3) if "sweep" in data else None
+    output = _OUTPUT.record(data["output"], "output") if "output" in data else ScenarioFile.output
     return ScenarioFile(kind=kind, sweep=sweep, output=output, **{kind: record})
 
 

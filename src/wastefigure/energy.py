@@ -252,10 +252,12 @@ def max_efficient_distance(
     _require("k", k, minimum=0.0, exclusive=True)
     _require("alpha", alpha, minimum=0.0, exclusive=True)
     n0c = ctx.n0 * ctx.capacity
-    den = t.w_tx * LN2 * n0c  # 0 only where N0*C underflowed: the base is then nan
-    braced = (k / den if den else math.nan) * (
-        ctx.p_np * t.g_rx + n0c * LN2 * (1.0 - t.g_rx * t.w_rx)
-    )
+    den = t.w_tx * LN2 * n0c
+    scale = k / den if den else math.inf  # inf where N0*C is subnormal or underflowed
+    if scale == math.inf and ctx.p_np == 0.0:  # without p_np, N0*C cancels from the base
+        braced = k * (1.0 - t.g_rx * t.w_rx) / t.w_tx
+    else:
+        braced = scale * (ctx.p_np * t.g_rx + n0c * LN2 * (1.0 - t.g_rx * t.w_rx))
     if braced <= 0.0:
         return None
     return finite_power(

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .energy import LN2, EnergyContext, _require
 from .relay import Rule, _compare, _fixed_power_term, _hop_waste
-from .units import in_range
+from .units import finite, in_range
 
 __all__ = [
     "TrafficMix",
@@ -109,10 +109,6 @@ class FwaScenario:
         b_num = t.rho_u * self.w_tx_ap / self.g_rx_bs + t.rho_d * self.w_tx_ap / self.g_rx_ue
         return Rule(a_num / den, b_num / den, _fixed_power_term(self.ctx, self.k, den), self.alpha)
 
-    def to_config(self) -> dict:
-        """Scenario as a config mapping (linear units, re-parseable)."""
-        return {"fwa_scenario": self._config()}  # _config: bound by config's field table
-
 
 @dataclass(frozen=True)
 class FwaVerdict:
@@ -130,7 +126,7 @@ def fwa_direct_energy(s: FwaScenario) -> float:
     w3_up = _hop_waste(s.w_tx_ue, s.g_rx_bs, s.d3, s.alpha, s.k, "direct uplink")
     w3_down = _hop_waste(s.w_tx_bs, s.g_rx_ue, s.d3, s.alpha, s.k, "direct downlink")
     weighted = s.traffic.rho_u * w3_up + s.traffic.rho_d * w3_down
-    return s.ctx.p_np / s.ctx.capacity + LN2 * s.ctx.n0 * weighted
+    return finite("direct energy per bit", s.ctx.p_np / s.ctx.capacity + LN2 * s.ctx.n0 * weighted)
 
 
 def fwa_relayed_energy(s: FwaScenario) -> float:
@@ -140,7 +136,8 @@ def fwa_relayed_energy(s: FwaScenario) -> float:
     w1_down = _hop_waste(s.w_tx_bs, s.g_rx_ap, s.d1, s.alpha, s.k, "downlink first hop")
     w2_down = _hop_waste(s.w_tx_ap, s.g_rx_ue, s.d2, s.alpha, s.k, "downlink second hop")
     weighted = s.traffic.rho_u * (w1_up + w2_up) + s.traffic.rho_d * (w1_down + w2_down)
-    return 2.0 * s.ctx.p_np / s.ctx.capacity + LN2 * s.ctx.n0 * weighted
+    e12 = 2.0 * s.ctx.p_np / s.ctx.capacity + LN2 * s.ctx.n0 * weighted
+    return finite("assisted energy per bit", e12)
 
 
 def fwa_ratio(s: FwaScenario) -> float:

@@ -83,10 +83,6 @@ class RelayScenario:
             self.alpha,
         )
 
-    def to_config(self) -> dict:
-        """Scenario as a config mapping (linear units, re-parseable)."""
-        return {"relay_scenario": self._config()}  # _config: bound by config's field table
-
 
 @dataclass(frozen=True)
 class RelayVerdict:
@@ -158,7 +154,7 @@ class Rule(NamedTuple):
 
 def _compare(s, e3: float, e12: float) -> tuple:
     """Verdict fields (e_direct, e_relayed, ratio, margin > 0, rule margin), all finite."""
-    if not 0.0 < e3 < math.inf:
+    if e3 == 0.0:  # finite and positive otherwise: the energies check their own overflow
         raise ValueError(f"direct energy per bit = {e3!r} is outside the float range")
     ratio = finite_ratio("energy ratio (assisted/direct)", e12, e3)
     margin = finite("rule margin d3**alpha - (A*d1**alpha + B*d2**alpha) - C",
@@ -180,14 +176,15 @@ def _fixed_power_term(ctx: EnergyContext, k: float, den: float) -> float:
 def direct_energy(s: RelayScenario) -> float:
     """Energy per bit of the single-hop route, wide-coverage waste model."""
     w3 = _hop_waste(s.w_tx_source, s.g_rx_sink, s.d3, s.alpha, s.k, "direct hop")
-    return s.ctx.p_np / s.ctx.capacity + LN2 * s.ctx.n0 * w3
+    return finite("direct energy per bit", s.ctx.p_np / s.ctx.capacity + LN2 * s.ctx.n0 * w3)
 
 
 def relayed_energy(s: RelayScenario) -> float:
     """Energy per bit of the two-hop route; pays non-path power twice."""
     w1 = _hop_waste(s.w_tx_source, s.g_rx_relay, s.d1, s.alpha, s.k, "source-relay hop")
     w2 = _hop_waste(s.w_tx_relay, s.g_rx_sink, s.d2, s.alpha, s.k, "relay-sink hop")
-    return 2.0 * s.ctx.p_np / s.ctx.capacity + LN2 * s.ctx.n0 * (w1 + w2)
+    e12 = 2.0 * s.ctx.p_np / s.ctx.capacity + LN2 * s.ctx.n0 * (w1 + w2)
+    return finite("assisted energy per bit", e12)
 
 
 def relay_ratio(s: RelayScenario) -> float:

@@ -223,10 +223,14 @@ class TestSectionShapes:
             ({"link": dict(LINK_DEMO["link"], channel={"k": 1e-4, "alpha": 2.0})},
              "link.channel: missing required field distance"),
             ({"link": dict(LINK_DEMO["link"], channel={})}, "link.channel: missing required field k"),
+            # a sweep on a cascade is rejected before its fields are read
+            ({"cascade": [{"gain": 1.0, "waste": 2.0}], "sweep": {"nx": 1}},
+             "sweep sections apply to relay_scenario and fwa_scenario only"),
         ],
         ids=["scenario-list", "output-path", "link-channel", "cascade-object", "sweep-range",
              "sweep-count", "sweep-grid-range", "sweep-grid-count", "sweep-grid-count-huge",
-             "sweep-grid-mode", "sweep-grid-d3", "link-channel-partial", "link-channel-empty"],
+             "sweep-grid-mode", "sweep-grid-d3", "link-channel-partial", "link-channel-empty",
+             "sweep-on-cascade"],
     )
     def test_message(self, doc, message):
         with pytest.raises(ValueError) as raised:

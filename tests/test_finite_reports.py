@@ -38,15 +38,19 @@ from wastefigure import (
     consumption_factor,
     contribution_report,
     decision_rule_holds,
+    direct_energy,
     energy_per_bit_link,
     energy_per_bit_min,
+    fwa_direct_energy,
     fwa_ratio,
+    fwa_relayed_energy,
     fwa_verdict,
     link_waste,
     max_efficient_distance,
     min_consumed_power,
     relay_ratio,
     relay_verdict,
+    relayed_energy,
     snr_min,
     stage_waste_two,
     wideband_rate_limit,
@@ -252,6 +256,7 @@ class TestLibraryNamedErrors:
             build()
         assert str(raised.value) == message
 
+    @pytest.mark.filterwarnings("ignore::wastefigure.ApproximationRegimeWarning")
     @pytest.mark.parametrize(
         "build, named",
         [
@@ -282,11 +287,23 @@ class TestLibraryNamedErrors:
             (lambda: min_consumed_power(1e308, 1e308, 1.0),
              "minimum consumed power p_np + snr_min*p_noise*w = inf "),
             (lambda: SnrSpec(1000.0, 1e300).operating_snr(), "operating SNR margin*snr_min = inf "),
+            # the two-hop energies: p_np / capacity overflows, or only the assisted 2*p_np / C does
+            (lambda: direct_energy(relay_at(PNP_OVER_C)), "direct energy per bit = inf "),
+            (lambda: relayed_energy(relay_at(PNP_OVER_C)), "assisted energy per bit = inf "),
+            (lambda: fwa_direct_energy(fwa_at(PNP_OVER_C)), "direct energy per bit = inf "),
+            (lambda: fwa_relayed_energy(fwa_at(PNP_OVER_C)), "assisted energy per bit = inf "),
+            (lambda: relay_verdict(relay_at(PNP_OVER_C)), "direct energy per bit = inf "),
+            (lambda: fwa_verdict(fwa_at(PNP_OVER_C)), "direct energy per bit = inf "),
+            (lambda: relay_verdict(relay_at(TWICE_PNP)), "assisted energy per bit = inf "),
+            (lambda: fwa_verdict(fwa_at(TWICE_PNP)), "assisted energy per bit = inf "),
         ],
         ids=["relay-hop-underflow", "fwa-hop-underflow", "consumption-factor",
              "wideband-rate-limit", "channel-gain-zero", "channel-gain-subnormal", "snr-min",
              "energy-per-bit-min", "energy-per-bit-link", "stage-waste-two",
-             "compose-subsystems", "min-consumed-power", "operating-snr"],
+             "compose-subsystems", "min-consumed-power", "operating-snr",
+             "relay-direct-energy", "relay-assisted-energy", "fwa-direct-energy",
+             "fwa-assisted-energy", "relay-verdict-direct", "fwa-verdict-direct",
+             "relay-verdict-assisted", "fwa-verdict-assisted"],
     )
     def test_value_outside_the_float_range_is_named(self, build, named):
         with pytest.raises(ValueError) as raised:
@@ -301,6 +318,26 @@ class TestLibraryNamedErrors:
         match = r"^max efficient distance: .* outside the float range"
         with pytest.raises(ValueError, match=match):
             max_efficient_distance(ctx, t, k=1e-4, alpha=1e-3)
+
+    @pytest.mark.parametrize(
+        "ctx, terminals, distance",
+        [
+            # without p_np, N0*C cancels: the base is k*(1 - g_rx*w_rx)/w_tx at any N0*C
+            (EnergyContext(1e-200, 1e-200, 0.0), LinkTerminals(2.0, 1.5, 10.0), None),
+            (EnergyContext(1e-200, 1e-200, 0.0), LinkTerminals(2.0, 1.0, 0.5), 0.5),
+            (EnergyContext(1e-160, 1e-150, 0.0), LinkTerminals(2.0, 1.0, 0.5), 0.5),  # subnormal
+            (EnergyContext(1e-20, 1e8, 0.0), LinkTerminals(2.0, 1.0, 0.5), 0.5),
+        ],
+        ids=["none-n0c-zero", "distance-n0c-zero", "distance-n0c-subnormal", "distance-n0c-normal"],
+    )
+    def test_max_efficient_distance_where_n0_c_underflows(self, ctx, terminals, distance):
+        assert max_efficient_distance(ctx, terminals, k=1.0, alpha=2.0) == distance
+
+    def test_max_efficient_distance_with_p_np_where_n0_c_underflows_is_named(self):
+        ctx, t = EnergyContext(1e-200, 1e-200, 1.0), LinkTerminals(2.0, 1.5, 10.0)
+        match = r"^max efficient distance: .* = inf\*\*0\.5 is outside the float range$"
+        with pytest.raises(ValueError, match=match):
+            max_efficient_distance(ctx, t, k=1.0, alpha=2.0)
 
 
 @st.composite
@@ -386,6 +423,18 @@ RECORDS = {
         traffic=TrafficMix(0.5, 0.5), alpha=3.0, d1=0.5, d2=0.5, d3=1.0, ctx=CTX, k=1.0,
     ),
 }
+PNP_OVER_C = EnergyContext(1e-20, 1e-300, 1e300)  # p_np / capacity overflows
+TWICE_PNP = EnergyContext(1e-20, 1.0, 1e308)  # only the assisted route's 2 * p_np does
+
+
+def relay_at(ctx):
+    return RelayScenario(**dict(RECORDS[RelayScenario], ctx=ctx))
+
+
+def fwa_at(ctx):
+    return FwaScenario(**dict(RECORDS[FwaScenario], ctx=ctx))
+
+
 NUMERIC_FIELDS = [
     pytest.param(build, name, id=f"{build.__qualname__}.{name}")
     for build, kwargs in RECORDS.items()
