@@ -86,7 +86,7 @@ def _noted(fn, *args, **kwargs):
                 print(f"note: {w.message}", file=sys.stderr)
 
 
-def _cmd_cascade(sf: config.ScenarioFile) -> tuple[list[str], dict]:
+def _cmd_cascade(sf: config.ScenarioFile, _csv_path: None) -> tuple[list[str], dict]:
     c: Cascade = sf.cascade
     rep = contribution_report(c)
     wf_db = _db("cascade waste W", rep.total_waste)
@@ -106,7 +106,7 @@ def _cmd_cascade(sf: config.ScenarioFile) -> tuple[list[str], dict]:
     return lines, doc
 
 
-def _cmd_link(sf: config.ScenarioFile) -> tuple[list[str], dict]:
+def _cmd_link(sf: config.ScenarioFile, _csv_path: None) -> tuple[list[str], dict]:
     setup = sf.link
     w_exact = link_waste(setup.terminals, setup.g_ch)
     w_approx = link_waste_approx(setup.terminals, setup.g_ch)
@@ -152,15 +152,14 @@ _TWO_HOP = {
 }
 
 
-def _cmd_two_hop(sf: config.ScenarioFile) -> tuple[list[str], dict]:
+def _cmd_two_hop(sf: config.ScenarioFile, csv_path: str | None) -> tuple[list[str], dict]:
     verdict_fn, axes_fn, sweep_fn, decision, label, show_mix = _TWO_HOP[sf.kind]
     s = getattr(sf, sf.kind)
     v = _noted(verdict_fn, s)
     report = dataclasses.asdict(v)
     lines = []
     if show_mix:
-        mix = s.traffic
-        lines.append(f"traffic mix: rho_u = {_fmt(mix.rho_u)}, rho_d = {_fmt(mix.rho_d)}")
+        lines.append(f"traffic mix: rho_u = {_fmt(s.rho_u)}, rho_d = {_fmt(s.rho_d)}")
     lines += [
         _energy_line("direct energy", v.e_direct, s.ctx.n0),
         _energy_line("assisted energy", v.e_relayed, s.ctx.n0),
@@ -184,13 +183,13 @@ def _cmd_two_hop(sf: config.ScenarioFile) -> tuple[list[str], dict]:
     region_doc = region_json_doc(region)
     doc["region"] = {k: region_doc[k] for k in ("grid", "area_fraction", "mask")}
     report["area_fraction"] = region.area_fraction
-    if sf.output.csv:
-        write_region_csv(region, sf.output.csv)
-        print(f"wrote region CSV: {sf.output.csv}", file=sys.stderr)
+    if csv_path:
+        write_region_csv(region, csv_path)
+        print(f"wrote region CSV: {csv_path}", file=sys.stderr)
     return lines, doc
 
 
-# each command's help text and handler
+# each command's help text and handler(scenario file, --csv path; None but for sweeps)
 _COMMANDS = {
     "cascade": ("waste factor and per-stage contributions of a chain", _cmd_cascade),
     "link": ("end-to-end link waste, energy per bit, max efficient distance", _cmd_link),
@@ -206,13 +205,12 @@ def _run(args) -> int:
             f"the {args.command} command needs a matching scenario section; "
             f"the file holds a {sf.kind} scenario"
         )
-    # a flag means its file section; --grid sets nx/ny of the sweep, or of an empty one
+    # --grid sets nx/ny of the file's sweep, or of an empty one
     sweep = sf.sweep
-    csv_path, json_path = args.csv_path or sf.output.csv, args.json_path or sf.output.json
     if args.command not in _TWO_HOP:
         if args.grid is not None:
             raise ValueError("--grid applies to the relay and fwa commands only")
-        if csv_path:
+        if args.csv_path:
             raise ValueError("csv output applies to region sweeps (relay/fwa)")
     elif args.grid is not None:
         sweep = sweep or config._parse_sweep({}, getattr(sf, sf.kind).d3)
@@ -220,14 +218,13 @@ def _run(args) -> int:
             sweep = dataclasses.replace(sweep, nx=args.grid[0], ny=args.grid[1])
         except ValueError as exc:
             raise ValueError(f"--grid: {exc}") from None
-    if csv_path and sweep is None:
+    if args.csv_path and sweep is None:
         raise ValueError("csv output requires a sweep (add a sweep section or --grid)")
-    sf = dataclasses.replace(sf, sweep=sweep, output=config.OutputSpec(csv_path, json_path))
-    lines, doc = _COMMANDS[args.command][1](sf)
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
+    lines, doc = _COMMANDS[args.command][1](dataclasses.replace(sf, sweep=sweep), args.csv_path)
+    if args.json_path:
+        with open(args.json_path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc, indent=2) + "\n")
-        print(f"wrote JSON report: {json_path}", file=sys.stderr)
+        print(f"wrote JSON report: {args.json_path}", file=sys.stderr)
     if not args.quiet:
         print("\n".join(lines))
     return 0

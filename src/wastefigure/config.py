@@ -1,8 +1,8 @@
 """Scenario-file parsing and echoing.
 
 Scenario files are JSON objects holding exactly one of the sections
-``cascade``, ``link``, ``relay_scenario``, ``fwa_scenario``, plus
-optional ``sweep`` (grid) and ``output`` (file paths) sections.
+``cascade``, ``link``, ``relay_scenario``, ``fwa_scenario``, plus an
+optional ``sweep`` (grid) section.
 
 Unit convention: every numeric ratio field accepts either a linear
 value under its bare name or a decibel value under the same name with
@@ -11,7 +11,7 @@ both. Everything is converted to linear on parse; echoes emit linear
 fields so a re-parsed echo reproduces the scenario exactly.
 
 The field tables (``_ENERGY``, ``_TERMINALS``, ``_PATH_LOSS``, ``_LINK``,
-``_RELAY``, ``_FWA``, ``_OUTPUT``) are the one list of each section's
+``_RELAY``, ``_FWA``) are the one list of each section's
 accepted fields, spellings and defaults. Their rows drive parsing, the
 unknown-key check and the echo, in echo order. The link, relay and FWA
 tables share the one ``_ENERGY`` table as their ``energy`` row.
@@ -27,14 +27,13 @@ from typing import Callable, NamedTuple
 from .cascade import Cascade, Stage
 from .channel import PathLossChannel
 from .energy import EnergyContext, LinkTerminals
-from .fwa import FwaScenario, TrafficMix
+from .fwa import FwaScenario
 from .region import GridSpec
 from .relay import RelayScenario
 from .units import db_to_linear
 
 __all__ = [
     "LinkSetup",
-    "OutputSpec",
     "ScenarioFile",
     "load_scenario",
     "parse_scenario",
@@ -53,14 +52,6 @@ class LinkSetup:
 
 
 @dataclass(frozen=True)
-class OutputSpec:
-    """Parsed ``output`` section: where to put region files."""
-
-    csv: str | None = None
-    json: str | None = None
-
-
-@dataclass(frozen=True)
 class ScenarioFile:
     """One parsed scenario file; ``kind`` names the populated section."""
 
@@ -70,7 +61,6 @@ class ScenarioFile:
     relay: RelayScenario | None = None
     fwa: FwaScenario | None = None
     sweep: GridSpec | None = None
-    output: OutputSpec = OutputSpec()  # no paths when the file has no output section
 
 
 def _mapping(value, allowed, where: str) -> dict:
@@ -141,14 +131,6 @@ def _shared_direction_value(section: dict, base: str, where: str, default) -> fl
     if base in section and _num(section, base, where) != v_up:
         raise ValueError(f"{where}: {base} disagrees with its per-direction fields")
     return v_up
-
-
-def _read_path(section: dict, key: str, where: str, default) -> str | None:
-    """An optional path: None when absent."""
-    value = section.get(key)
-    if key in section and not isinstance(value, str):
-        raise ValueError(f"{where}.{key}: expected a path string, got {value!r}")
-    return value
 
 
 def _read_channel(section: dict, key: str, where: str, default) -> tuple:
@@ -224,8 +206,6 @@ class _Table:
 _NUM = _Reader(_num)
 _RATIO = _Reader(_ratio, ("", "_db"))
 _SHARED = _Reader(_shared_direction_value, ("", "_uplink", "_downlink"))
-_PATH = _Reader(_read_path)
-_UPLINK = _Reader(lambda *a: TrafficMix.from_uplink(_num(*a)), echo=lambda s, _: s.traffic.rho_u)
 
 _PATH_LOSS = _Table(PathLossChannel, ("k", _NUM), ("alpha", _NUM), ("distance", _NUM))
 _ENERGY = _Table(EnergyContext, ("n0", _NUM), ("capacity", _SHARED), ("p_np", _SHARED, 0.0))
@@ -250,12 +230,11 @@ _FWA = _Table(
     FwaScenario,
     ("w_tx_ue", _RATIO), ("w_tx_bs", _RATIO), ("w_tx_ap", _RATIO),
     ("g_rx_ue", _RATIO), ("g_rx_bs", _RATIO), ("g_rx_ap", _RATIO),
-    ("rho_u", _UPLINK, None, "traffic"),
+    ("rho_u", _NUM),
     *_GEOMETRY,
     ("energy", _ENERGY, None, "ctx"),
     section="fwa_scenario",
 )
-_OUTPUT = _Table(OutputSpec, ("csv", _PATH), ("json", _PATH))
 
 # bound once here: the package imports this module, so every scenario record has its echo
 LinkSetup.to_config, RelayScenario.to_config, FwaScenario.to_config = (
@@ -334,7 +313,7 @@ _KINDS = {"cascade": ("cascade", _parse_cascade)} | {
 
 def parse_scenario(data) -> ScenarioFile:
     """Parse a decoded scenario document into validated objects."""
-    data = _mapping(data, {*_KINDS, "sweep", "output"}, "scenario file")
+    data = _mapping(data, {*_KINDS, "sweep"}, "scenario file")
     present = [name for name in _KINDS if name in data]
     if len(present) != 1:
         raise ValueError(
@@ -346,8 +325,7 @@ def parse_scenario(data) -> ScenarioFile:
     if "sweep" in data and kind not in ("relay", "fwa"):
         raise ValueError("sweep sections apply to relay_scenario and fwa_scenario only")
     sweep = _parse_sweep(data["sweep"], record.d3) if "sweep" in data else None
-    output = _OUTPUT.record(data["output"], "output") if "output" in data else ScenarioFile.output
-    return ScenarioFile(kind=kind, sweep=sweep, output=output, **{kind: record})
+    return ScenarioFile(kind=kind, sweep=sweep, **{kind: record})
 
 
 def load_scenario(path) -> ScenarioFile:

@@ -258,6 +258,9 @@ def max_efficient_distance(
         braced = k * (1.0 - t.g_rx * t.w_rx) / t.w_tx
     else:
         braced = scale * (ctx.p_np * t.g_rx + n0c * LN2 * (1.0 - t.g_rx * t.w_rx))
+        if braced == math.inf and scale == math.inf and den:  # k / den overflowed, the base
+            # may not: its sign is the braced sum's, its size the expanded sum's
+            braced = abs(k * ctx.p_np * t.g_rx / den + k * (1.0 - t.g_rx * t.w_rx) / t.w_tx)
     if braced <= 0.0:
         return None
     return finite_power(

@@ -36,7 +36,6 @@ from .relay import Rule, _compare, _fixed_power_term, _hop_waste
 from .units import finite, in_range
 
 __all__ = [
-    "TrafficMix",
     "FwaScenario",
     "FwaVerdict",
     "fwa_direct_energy",
@@ -50,33 +49,8 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TrafficMix:
-    """Uplink/downlink traffic shares; must sum to one."""
-
-    rho_u: float
-    rho_d: float
-
-    def __post_init__(self) -> None:
-        for name in ("rho_u", "rho_d"):
-            v = getattr(self, name)
-            if not in_range(name, v, 0.0, 1.0):
-                raise ValueError(f"{name} must be in [0, 1], got {v!r}")
-        if abs(self.rho_u + self.rho_d - 1.0) > 1e-12:
-            raise ValueError(
-                f"traffic shares must sum to 1, got {self.rho_u!r} + {self.rho_d!r}"
-            )
-
-    @classmethod
-    def from_uplink(cls, rho_u: float) -> "TrafficMix":
-        """Build from the uplink share alone; the downlink share is implied."""
-        if not in_range("rho_u", rho_u, 0.0, 1.0):
-            raise ValueError(f"rho_u must be in [0, 1], got {rho_u!r}")
-        return cls(rho_u=rho_u, rho_d=1.0 - rho_u)
-
-
-@dataclass(frozen=True)
 class FwaScenario:
-    """Hardware, geometry, traffic mix and operating point of an FWA layout."""
+    """Hardware, uplink traffic share, geometry and operating point of an FWA layout."""
 
     w_tx_ue: float
     w_tx_bs: float
@@ -84,7 +58,7 @@ class FwaScenario:
     g_rx_ue: float
     g_rx_bs: float
     g_rx_ap: float
-    traffic: TrafficMix
+    rho_u: float
     alpha: float
     d1: float
     d2: float
@@ -97,16 +71,21 @@ class FwaScenario:
             _require(name, getattr(self, name), minimum=1.0)
         for name in ("g_rx_ue", "g_rx_bs", "g_rx_ap", "alpha", "d1", "d2", "d3", "k"):
             _require(name, getattr(self, name), minimum=0.0, exclusive=True)
-        if not isinstance(self.traffic, TrafficMix):
-            raise ValueError(f"traffic must be a TrafficMix, got {self.traffic!r}")
+        if not in_range("rho_u", self.rho_u, 0.0, 1.0):
+            raise ValueError(f"rho_u must be in [0, 1], got {self.rho_u!r}")
         if not isinstance(self.ctx, EnergyContext):
             raise ValueError(f"ctx must be an EnergyContext, got {self.ctx!r}")
 
+    @property
+    def rho_d(self) -> float:
+        """Downlink traffic share: the traffic the uplink does not carry."""
+        return 1.0 - self.rho_u
+
     def _rule(self) -> Rule:
-        t = self.traffic
-        den = t.rho_u * self.w_tx_ue / self.g_rx_bs + t.rho_d * self.w_tx_bs / self.g_rx_ue
-        a_num = t.rho_u * self.w_tx_ue / self.g_rx_ap + t.rho_d * self.w_tx_bs / self.g_rx_ap
-        b_num = t.rho_u * self.w_tx_ap / self.g_rx_bs + t.rho_d * self.w_tx_ap / self.g_rx_ue
+        u, d = self.rho_u, self.rho_d
+        den = u * self.w_tx_ue / self.g_rx_bs + d * self.w_tx_bs / self.g_rx_ue
+        a_num = u * self.w_tx_ue / self.g_rx_ap + d * self.w_tx_bs / self.g_rx_ap
+        b_num = u * self.w_tx_ap / self.g_rx_bs + d * self.w_tx_ap / self.g_rx_ue
         return Rule(a_num / den, b_num / den, _fixed_power_term(self.ctx, self.k, den), self.alpha)
 
 
@@ -125,7 +104,7 @@ def fwa_direct_energy(s: FwaScenario) -> float:
     """Traffic-weighted energy per bit of the direct UE <-> BS route."""
     w3_up = _hop_waste(s.w_tx_ue, s.g_rx_bs, s.d3, s.alpha, s.k, "direct uplink")
     w3_down = _hop_waste(s.w_tx_bs, s.g_rx_ue, s.d3, s.alpha, s.k, "direct downlink")
-    weighted = s.traffic.rho_u * w3_up + s.traffic.rho_d * w3_down
+    weighted = s.rho_u * w3_up + s.rho_d * w3_down
     return finite("direct energy per bit", s.ctx.p_np / s.ctx.capacity + LN2 * s.ctx.n0 * weighted)
 
 
@@ -135,7 +114,7 @@ def fwa_relayed_energy(s: FwaScenario) -> float:
     w2_up = _hop_waste(s.w_tx_ap, s.g_rx_bs, s.d2, s.alpha, s.k, "uplink second hop")
     w1_down = _hop_waste(s.w_tx_bs, s.g_rx_ap, s.d1, s.alpha, s.k, "downlink first hop")
     w2_down = _hop_waste(s.w_tx_ap, s.g_rx_ue, s.d2, s.alpha, s.k, "downlink second hop")
-    weighted = s.traffic.rho_u * (w1_up + w2_up) + s.traffic.rho_d * (w1_down + w2_down)
+    weighted = s.rho_u * (w1_up + w2_up) + s.rho_d * (w1_down + w2_down)
     e12 = 2.0 * s.ctx.p_np / s.ctx.capacity + LN2 * s.ctx.n0 * weighted
     return finite("assisted energy per bit", e12)
 

@@ -192,15 +192,13 @@ def relay_ratio(s: RelayScenario) -> float:
     return relay_verdict(s).ratio
 
 
-def decision_rule_holds(s: RelayScenario, include_pnp: bool = False) -> bool:
-    """Closed-form test for the relay route using less energy per bit.
+def decision_rule_holds(s: RelayScenario) -> bool:
+    """Closed-form test (negligible non-path power): does the relay save energy.
 
-    The default form assumes negligible non-path power and compares
-    distances weighted by hardware ratios only. With include_pnp the
-    fixed-cost term enters, scaled by the channel constant, and the test
-    is relay_verdict's decision (relay_ratio < 1 away from ties) for any k.
+    It compares distances weighted by hardware ratios only; relay_verdict's
+    use_relay is the same test with the non-path power term.
     """
-    return s._rule().margin(s.d1, s.d2, s.d3, include_pnp) > 0.0
+    return s._rule().margin(s.d1, s.d2, s.d3, include_c=False) > 0.0
 
 
 def ellipse_axes(s: RelayScenario) -> tuple[float, float]:

@@ -19,7 +19,6 @@ from wastefigure import (
     LinkTerminals,
     RelayScenario,
     Stage,
-    TrafficMix,
     cascade_waste,
     compose_subsystems,
     consumption_factor,
@@ -37,6 +36,7 @@ from wastefigure import (
     max_efficient_distance,
     region_subset,
     relay_ratio,
+    relay_verdict,
     relayed_energy,
     sweep_fwa,
     sweep_relay,
@@ -66,7 +66,7 @@ def _fig10(rho_u, alpha=4.0, d1=0.4, d2=0.5, d3=1.0, ctx=CTX0):
         w_tx_ue=3.0, w_tx_bs=15.0, w_tx_ap=10.0,
         g_rx_ue=db_to_linear(10.0), g_rx_bs=db_to_linear(15.0),
         g_rx_ap=db_to_linear(10.0),
-        traffic=TrafficMix.from_uplink(rho_u),
+        rho_u=rho_u,
         alpha=alpha, d1=d1, d2=d2, d3=d3, ctx=ctx,
     )
 
@@ -243,7 +243,7 @@ def test_c07_relay_decision_energy_equivalence():
         if abs(ratio - 1.0) <= 1e-9:
             continue
         checked += 1
-        assert decision_rule_holds(s, include_pnp=True) == (ratio < 1.0)
+        assert relay_verdict(s).use_relay == (ratio < 1.0)
     print("[acceptance] C7 relay decision/energy equivalence (2x10^4 draws): PASS")
 
 

@@ -1,10 +1,11 @@
 import dataclasses
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wastefigure import (
     Cascade,
@@ -16,12 +17,26 @@ from wastefigure import (
 )
 
 
-def fold_waste(stages):
+def fold_waste(stages, two=stage_waste_two):
     # independent route: repeated two-device composition, source first
     w = stages[0].waste
     for stage in stages[1:]:
-        w = stage_waste_two(w, stage.waste, stage.gain)
+        w = two(w, stage.waste, stage.gain)
     return w
+
+
+def stage_waste_two_exact(w1, w2, g2):
+    # stage_waste_two's W = w2 + (w1 - 1) / g2 in exact rational arithmetic
+    return Fraction(w2) + (Fraction(w1) - 1) / Fraction(g2)
+
+
+def friis_exact(stages):
+    # the Friis sum 1 + sum_k (W_k - 1) / prod(G_i, i > k) in exact rational arithmetic
+    total, after = Fraction(1), Fraction(1)
+    for stage in reversed(stages):
+        total += (Fraction(stage.waste) - 1) / after
+        after *= Fraction(stage.gain)
+    return total
 
 
 def random_cascade(rng, max_stages=8):
@@ -125,9 +140,14 @@ class TestCascadeWaste:
             max_size=8,
         )
     )
+    # the float fold rounds 1 + 2**-52/10 to 1 before the 1e-5 gain would amplify the
+    # excess; the closed form keeps it (the Friis sum here is 1 + 2**-52 / 1e-4)
+    @example(specs=[(1.0000000000000002, 0.0), (1.0, 1.0), (1.0, -5.0)])
     def test_fold_equivalence_property(self, specs):
         stages = tuple(Stage(gain=10.0**g, waste=w) for w, g in specs)
-        assert math.isclose(cascade_waste(Cascade(stages)), fold_waste(stages), rel_tol=1e-12)
+        exact = friis_exact(stages)
+        assert fold_waste(stages, stage_waste_two_exact) == exact  # the fold, unrounded
+        assert math.isclose(cascade_waste(Cascade(stages)), float(exact), rel_tol=1e-12)
 
     def test_cut_point_invariance(self):
         rng = np.random.default_rng(7)

@@ -494,12 +494,10 @@ class TestRelayCommand:
     def test_sweep_section_drives_outputs(self, scenario, tmp_path, capsys):
         out_csv = tmp_path / "from_file.csv"
         out_json = tmp_path / "from_file.json"
-        doc = {
-            "relay_scenario": RELAY_BODY,
-            "sweep": {"nx": 21, "ny": 21},
-            "output": {"csv": str(out_csv), "json": str(out_json)},
-        }
-        code, out, err = run(capsys, "relay", scenario(doc))
+        doc = {"relay_scenario": RELAY_BODY, "sweep": {"nx": 21, "ny": 21}}
+        code, out, err = run(
+            capsys, "relay", scenario(doc), "--csv", str(out_csv), "--json", str(out_json)
+        )
         assert code == 0
         assert out_csv.exists() and out_json.exists()
         assert "advantageous area fraction" in out
@@ -568,7 +566,7 @@ class TestFwaCommand:
 
 
 class TestFlagsMeanTheirSections:
-    """--grid, --csv and --json write what the file's sweep and output sections write."""
+    """--grid writes what the file's sweep section writes; output paths are flags alone."""
 
     @pytest.mark.parametrize("mode", [None, "normalized", "planar"])
     @pytest.mark.parametrize("command, section, d3", [
@@ -585,9 +583,10 @@ class TestFlagsMeanTheirSections:
             capsys, command, scenario(flags),
             "--grid", "41", "41", "--csv", f"{a}.csv", "--json", f"{a}.json",
         )
-        sections = dict(doc, sweep=dict(sweep, nx=41, ny=41),
-                        output={"csv": f"{b}.csv", "json": f"{b}.json"})
-        code_b, out_b, _ = run(capsys, command, scenario(sections))
+        sections = dict(doc, sweep=dict(sweep, nx=41, ny=41))
+        code_b, out_b, _ = run(
+            capsys, command, scenario(sections), "--csv", f"{b}.csv", "--json", f"{b}.json"
+        )
         assert code_a == code_b == 0
         assert out_a == out_b
         for ext in ("csv", "json"):
@@ -595,8 +594,8 @@ class TestFlagsMeanTheirSections:
         assert json.loads(Path(f"{a}.json").read_text())["region"]["grid"]["d3"] == d3
 
     def test_csv_without_sweep_fails_before_the_verdict(self, scenario, tmp_path, capsys):
-        doc = {"relay_scenario": RELAY_BODY, "output": {"csv": str(tmp_path / "region.csv")}}
-        code, out, err = run(capsys, "relay", scenario(doc))
+        doc = {"relay_scenario": RELAY_BODY}
+        code, out, err = run(capsys, "relay", scenario(doc), "--csv", str(tmp_path / "region.csv"))
         assert code == 1
         assert out == ""
         # no regime notes: the verdict never ran

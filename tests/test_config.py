@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 from wastefigure import cascade as cascade_module, config, energy as energy_module
 from wastefigure.cascade import Stage
 from wastefigure.energy import EnergyContext, LinkTerminals
-from wastefigure.config import OutputSpec, cascade_to_config, load_scenario, parse_scenario
+from wastefigure.fwa import FwaScenario, fwa_verdict
+from wastefigure.config import cascade_to_config, load_scenario, parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -204,7 +205,10 @@ class TestSectionShapes:
         "doc, message",
         [
             ({"relay_scenario": [1]}, "relay_scenario: expected an object, got [1]"),
-            (dict(RELAY_DEMO, output={"csv": 5}), "output.csv: expected a path string, got 5"),
+            # output paths are the --csv/--json flags' alone
+            (dict(RELAY_DEMO, output={"csv": "region.csv"}),
+             "scenario file: unknown field(s) ['output']; "
+             "allowed: ['cascade', 'fwa_scenario', 'link', 'relay_scenario', 'sweep']"),
             ({"link": {k: v for k, v in LINK_DEMO["link"].items() if k != "channel"}},
              "link: missing required section channel"),
             ({"cascade": {}}, "cascade: expected a list of stages, got {}"),
@@ -227,7 +231,7 @@ class TestSectionShapes:
             ({"cascade": [{"gain": 1.0, "waste": 2.0}], "sweep": {"nx": 1}},
              "sweep sections apply to relay_scenario and fwa_scenario only"),
         ],
-        ids=["scenario-list", "output-path", "link-channel", "cascade-object", "sweep-range",
+        ids=["scenario-list", "output-section", "link-channel", "cascade-object", "sweep-range",
              "sweep-count", "sweep-grid-range", "sweep-grid-count", "sweep-grid-count-huge",
              "sweep-grid-mode", "sweep-grid-d3", "link-channel-partial", "link-channel-empty",
              "sweep-on-cascade"],
@@ -237,12 +241,14 @@ class TestSectionShapes:
             parse_scenario(doc)
         assert str(raised.value) == message
 
-    def test_no_output_section_gives_no_paths(self):
-        assert parse_scenario(RELAY_DEMO).output == OutputSpec(csv=None, json=None)
+
+FWA_HARDWARE = dict(w_tx_ue=3.0, w_tx_bs=15.0, w_tx_ap=10.0, g_rx_ue=10.0, g_rx_bs=30.0, g_rx_ap=10.0)
+FWA_RHO_U = (0.25, 0.7)
 
 
+@pytest.mark.filterwarnings("ignore::wastefigure.ApproximationRegimeWarning")
 def test_two_hop_echo_in_a_fresh_interpreter_importing_the_record_modules_first():
-    code = """
+    code = f"""
 import json, sys
 import wastefigure.relay as relay, wastefigure.fwa as fwa
 from wastefigure.energy import EnergyContext
@@ -250,8 +256,7 @@ ctx = EnergyContext(n0=1e-20, capacity=1e8)
 geometry = dict(alpha=4.0, d1=0.4, d2=0.5, d3=1.0, ctx=ctx)
 echoes = [
     relay.RelayScenario(w_tx_source=1.0, w_tx_relay=2.0, g_rx_relay=1e3, g_rx_sink=10.0, **geometry).to_config(),
-    fwa.FwaScenario(w_tx_ue=3.0, w_tx_bs=15.0, w_tx_ap=10.0, g_rx_ue=10.0, g_rx_bs=30.0, g_rx_ap=10.0,
-                    traffic=fwa.TrafficMix.from_uplink(0.25), **geometry).to_config(),
+    *(fwa.FwaScenario(rho_u=rho_u, **{FWA_HARDWARE!r}, **geometry).to_config() for rho_u in {FWA_RHO_U!r}),
 ]
 json.dump(echoes, sys.stdout)
 """
@@ -261,12 +266,20 @@ json.dump(echoes, sys.stdout)
         env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
-    relay_echo, fwa_echo = json.loads(proc.stdout)
-    assert list(relay_echo) == ["relay_scenario"] and list(fwa_echo) == ["fwa_scenario"]
+    relay_echo, *fwa_echoes = json.loads(proc.stdout)
+    assert list(relay_echo) == ["relay_scenario"]
     assert relay_echo["relay_scenario"]["g_rx_relay"] == 1e3
-    assert fwa_echo["fwa_scenario"]["rho_u"] == 0.25
-    for doc in (relay_echo, fwa_echo):
+    for doc in (relay_echo, *fwa_echoes):
         assert echo(parse_scenario(doc)) == doc
+    # a library-built record equals its echo's parse, verdict included (1 - 0.7 != 0.3 in floats)
+    ctx = EnergyContext(n0=1e-20, capacity=1e8)
+    for rho_u, fwa_echo in zip(FWA_RHO_U, fwa_echoes, strict=True):
+        s = FwaScenario(rho_u=rho_u, **FWA_HARDWARE, alpha=4.0, d1=0.4, d2=0.5, d3=1.0, ctx=ctx)
+        assert s.to_config() == fwa_echo
+        assert fwa_echo["fwa_scenario"]["rho_u"] == rho_u
+        parsed = parse_scenario(s.to_config()).fwa
+        assert parsed == s
+        assert fwa_verdict(parsed) == fwa_verdict(s)
 
 
 # -- the readers and checks as they were before their fast paths ------------

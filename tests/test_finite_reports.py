@@ -31,13 +31,11 @@ from wastefigure import (
     RelayScenario,
     SnrSpec,
     Stage,
-    TrafficMix,
     cascade_waste,
     channel_waste,
     compose_subsystems,
     consumption_factor,
     contribution_report,
-    decision_rule_holds,
     direct_energy,
     energy_per_bit_link,
     energy_per_bit_min,
@@ -57,6 +55,8 @@ from wastefigure import (
 )
 from wastefigure.cli import main
 from wastefigure.config import parse_scenario
+from wastefigure.energy import LN2
+from wastefigure.units import finite_power
 
 VALUES = st.one_of(
     st.floats(-320.0, 308.0).map(lambda e: 10.0**e),
@@ -244,7 +244,8 @@ class TestLibraryNamedErrors:
         [
             (lambda: link_waste(LinkTerminals(1.0, 1.0, 1.0), 1.5),
              "g_ch must be in (0, 1] and finite, got 1.5"),
-            (lambda: TrafficMix(1.5, -0.5), "rho_u must be in [0, 1], got 1.5"),
+            (lambda: FwaScenario(**dict(RECORDS[FwaScenario], rho_u=1.5)),
+             "rho_u must be in [0, 1], got 1.5"),
             (lambda: FwaScenario(**dict(RECORDS[FwaScenario], ctx=None)),
              "ctx must be an EnergyContext, got None"),
             (lambda: Cascade((1.0,)), "cascade entries must be Stage, got 1.0"),
@@ -339,6 +340,48 @@ class TestLibraryNamedErrors:
         with pytest.raises(ValueError, match=match):
             max_efficient_distance(ctx, t, k=1.0, alpha=2.0)
 
+    def test_max_efficient_distance_where_only_k_over_n0_c_overflows(self):
+        # k / (w_tx ln2 N0 C) overflows, the base k p_np g_rx / (w_tx ln2 N0 C) = 1e20 / ln2 does not
+        ctx, t = EnergyContext(1e-310, 1.0, 1e-300), LinkTerminals(1.0, 1.0, 1.0)
+        d_star = max_efficient_distance(ctx, t, k=1e10, alpha=2.0)
+        assert math.isclose(d_star, math.sqrt(1e20 / math.log(2.0)), rel_tol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ctx=st.builds(EnergyContext, VALUES, VALUES, st.just(0.0) | VALUES),
+           terminals=st.builds(LinkTerminals, VALUES.map(lambda w: max(w, 1.0)),
+                               VALUES.map(lambda w: max(w, 1.0)), VALUES),
+           k=VALUES, alpha=st.floats(1e-3, 8.0))
+    def test_max_efficient_distance_keeps_the_reference_answers(self, ctx, terminals, k, alpha):
+        def outcome(fn):
+            try:
+                return fn(ctx, terminals, k, alpha)
+            except ValueError as exc:
+                return str(exc)
+
+        want, got = outcome(reference_max_efficient_distance), outcome(max_efficient_distance)
+        den = terminals.w_tx * LN2 * ctx.n0 * ctx.capacity
+        if not isinstance(want, str) or (den and k / den < math.inf):
+            assert got == want  # floats compare bit for bit here: neither is nan or -0.0
+        else:  # the reference raised where k / den overflows: a distance or a named error now
+            assert isinstance(got, str) or 0.0 < got < math.inf
+
+
+def reference_max_efficient_distance(ctx, t, k, alpha):
+    # max_efficient_distance as it was before the overflowing k / den was expanded
+    n0c = ctx.n0 * ctx.capacity
+    den = t.w_tx * LN2 * n0c
+    scale = k / den if den else math.inf
+    if scale == math.inf and ctx.p_np == 0.0:
+        braced = k * (1.0 - t.g_rx * t.w_rx) / t.w_tx
+    else:
+        braced = scale * (ctx.p_np * t.g_rx + n0c * LN2 * (1.0 - t.g_rx * t.w_rx))
+    if braced <= 0.0:
+        return None
+    return finite_power(
+        "max efficient distance: (k / (w_tx ln2 N0 C) * (p_np g_rx + N0 C ln2 (1 - g_rx w_rx)))"
+        "**(1/alpha)", braced, 1.0 / alpha
+    )
+
 
 @st.composite
 def two_hop_scenarios(draw):
@@ -352,8 +395,7 @@ def two_hop_scenarios(draw):
     hardware = {name: draw(VALUES) for name in FWA_FIELDS}
     for name in ("w_tx_ue", "w_tx_bs", "w_tx_ap"):
         hardware[name] = max(hardware[name], 1.0)
-    traffic = TrafficMix.from_uplink(draw(RHO_U))
-    return FwaScenario(traffic=traffic, ctx=ctx, **hardware, **geometry)
+    return FwaScenario(rho_u=draw(RHO_U), ctx=ctx, **hardware, **geometry)
 
 
 class TestVerdictIsTheMarginSign:
@@ -369,7 +411,6 @@ class TestVerdictIsTheMarginSign:
                 return
         if isinstance(s, RelayScenario):
             assert v.use_relay == (v.decision_margin > 0.0)
-            assert decision_rule_holds(s, include_pnp=True) == v.use_relay
         else:
             assert v.use_ap == (v.decision_margin > 0.0)
         values = (v.e_direct, v.e_relayed, v.ratio, v.decision_margin)
@@ -411,8 +452,6 @@ RECORDS = {
     LinkTerminals: dict(w_tx=2.0, w_rx=1.5, g_rx=10.0),
     SnrSpec: dict(spectral_efficiency=2.0, margin=1.0),
     PathLossChannel: dict(k=1.0, alpha=2.0, distance=10.0),
-    TrafficMix: dict(rho_u=0.5, rho_d=0.5),
-    TrafficMix.from_uplink: dict(rho_u=0.5),
     GridSpec: dict(d3=1.0),
     RelayScenario: dict(
         w_tx_source=1.0, w_tx_relay=2.0, g_rx_relay=1e3, g_rx_sink=10.0,
@@ -420,7 +459,7 @@ RECORDS = {
     ),
     FwaScenario: dict(
         w_tx_ue=3.0, w_tx_bs=15.0, w_tx_ap=10.0, g_rx_ue=10.0, g_rx_bs=30.0, g_rx_ap=10.0,
-        traffic=TrafficMix(0.5, 0.5), alpha=3.0, d1=0.5, d2=0.5, d3=1.0, ctx=CTX, k=1.0,
+        rho_u=0.5, alpha=3.0, d1=0.5, d2=0.5, d3=1.0, ctx=CTX, k=1.0,
     ),
 }
 PNP_OVER_C = EnergyContext(1e-20, 1e-300, 1e300)  # p_np / capacity overflows

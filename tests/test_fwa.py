@@ -9,7 +9,6 @@ from wastefigure import (
     EnergyContext,
     FwaScenario,
     RelayScenario,
-    TrafficMix,
     direct_energy,
     fwa_decision_holds,
     fwa_direct_energy,
@@ -43,7 +42,7 @@ HW = dict(
 
 def hw_scenario(rho_u, alpha=4.0, d1=0.4, d2=0.5, d3=1.0, ctx=CTX0):
     return FwaScenario(
-        traffic=TrafficMix.from_uplink(rho_u),
+        rho_u=rho_u,
         alpha=alpha,
         d1=d1,
         d2=d2,
@@ -61,7 +60,7 @@ def random_scenario(rng, p_np=0.0):
         g_rx_ue=10.0 ** rng.uniform(0.5, 3),
         g_rx_bs=10.0 ** rng.uniform(0.5, 3),
         g_rx_ap=10.0 ** rng.uniform(0.5, 3),
-        traffic=TrafficMix.from_uplink(rng.uniform(0.0, 1.0)),
+        rho_u=rng.uniform(0.0, 1.0),
         alpha=rng.uniform(2.0, 6.0),
         d1=rng.uniform(0.1, 2.0),
         d2=rng.uniform(0.1, 2.0),
@@ -70,20 +69,16 @@ def random_scenario(rng, p_np=0.0):
     )
 
 
-class TestTrafficMix:
-    def test_from_uplink(self):
-        mix = TrafficMix.from_uplink(0.3)
-        assert mix.rho_u == 0.3
-        assert mix.rho_d == 0.7
-
-    def test_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            TrafficMix(0.5, 0.6)
+class TestTrafficShares:
+    def test_downlink_share_is_the_rest(self):
+        s = hw_scenario(0.3)
+        assert s.rho_u == 0.3
+        assert s.rho_d == 0.7
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
     def test_share_bounds(self, bad):
-        with pytest.raises(ValueError):
-            TrafficMix.from_uplink(bad)
+        with pytest.raises(ValueError, match=r"^rho_u must be in \[0, 1\], got "):
+            hw_scenario(bad)
 
 
 class TestCoefficients:
@@ -106,7 +101,7 @@ class TestCoefficients:
         rng = np.random.default_rng(11)
         for _ in range(200):
             s = random_scenario(rng)
-            rho_u, rho_d = s.traffic.rho_u, s.traffic.rho_d
+            rho_u, rho_d = s.rho_u, s.rho_d
             den = rho_u * s.w_tx_ue / s.g_rx_bs + rho_d * s.w_tx_bs / s.g_rx_ue
             a_ref = (rho_u * s.w_tx_ue + rho_d * s.w_tx_bs) / s.g_rx_ap / den
             b_ref = s.w_tx_ap * (rho_u / s.g_rx_bs + rho_d / s.g_rx_ue) / den
@@ -252,7 +247,7 @@ class TestMarginWithFixedPower:
         s = FwaScenario(
             w_tx_ue=w[0], w_tx_bs=w[1], w_tx_ap=w[2],
             g_rx_ue=10.0 ** g[0], g_rx_bs=10.0 ** g[1], g_rx_ap=10.0 ** g[2],
-            traffic=TrafficMix.from_uplink(rho_u),
+            rho_u=rho_u,
             alpha=alpha, d1=d[0], d2=d[1], d3=d[2], k=k,
             ctx=EnergyContext(n0=1e-20, capacity=1e8, p_np=10.0**p_np),
         )
@@ -282,7 +277,7 @@ class TestOverflowingWaste:
     def scenario(self, d1, d2, d3):
         hw = dict(HW, g_rx_ue=1e-5, g_rx_bs=1e-5, g_rx_ap=1e-5)
         return FwaScenario(
-            traffic=TrafficMix.from_uplink(0.5), alpha=6.1,
+            rho_u=0.5, alpha=6.1,
             d1=d1, d2=d2, d3=d3, ctx=CTX0, **hw,
         )
 
@@ -306,24 +301,24 @@ class TestUnrepresentableDistance:
 
 
 class TestValidation:
-    def test_traffic_type_checked(self):
-        with pytest.raises(ValueError, match="TrafficMix"):
+    def test_traffic_share_type_checked(self):
+        with pytest.raises(ValueError, match=r"^rho_u must be a number, got \(0\.5, 0\.5\)"):
             FwaScenario(
-                traffic=(0.5, 0.5), alpha=4.0, d1=0.4, d2=0.5, d3=1.0, ctx=CTX0, **HW
+                rho_u=(0.5, 0.5), alpha=4.0, d1=0.4, d2=0.5, d3=1.0, ctx=CTX0, **HW
             )
 
     def test_waste_below_one_rejected(self):
         bad = dict(HW, w_tx_ap=0.9)
         with pytest.raises(ValueError, match="w_tx_ap"):
             FwaScenario(
-                traffic=TrafficMix.from_uplink(0.5),
+                rho_u=0.5,
                 alpha=4.0, d1=0.4, d2=0.5, d3=1.0, ctx=CTX0, **bad,
             )
 
     def test_nonpositive_distance_rejected(self):
         with pytest.raises(ValueError, match="d2"):
             FwaScenario(
-                traffic=TrafficMix.from_uplink(0.5),
+                rho_u=0.5,
                 alpha=4.0, d1=0.4, d2=0.0, d3=1.0, ctx=CTX0, **HW,
             )
 
@@ -333,7 +328,7 @@ class TestUnrepresentableEllipse:
         # A underflows to 0: 1/A would divide by zero
         hw = dict(HW, g_rx_ap=1e200, g_rx_bs=1e-200, g_rx_ue=1e-200)
         s = FwaScenario(
-            traffic=TrafficMix.from_uplink(0.5),
+            rho_u=0.5,
             alpha=2.0, d1=0.4, d2=0.5, d3=1.0, ctx=CTX0, **hw,
         )
         assert rule_coefficients(s)[0] == 0.0

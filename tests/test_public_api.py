@@ -8,7 +8,7 @@ PUBLIC = {
     "ApproximationRegimeWarning", "Cascade", "ContributionReport", "EnergyContext",
     "FeasibilityRegion", "FwaScenario", "FwaVerdict", "GridSpec", "LinkTerminals",
     "PathLossChannel", "RelayScenario", "RelayVerdict", "SnrSpec", "Stage", "StageTerm",
-    "TrafficMix", "cascade_waste", "channel_gain", "channel_waste", "compose_subsystems",
+    "cascade_waste", "channel_gain", "channel_waste", "compose_subsystems",
     "consumption_factor", "contribution_report", "db_to_linear", "decision_rule_holds",
     "direct_energy", "ellipse_axes", "energy_per_bit_link", "energy_per_bit_min",
     "fwa_decision_holds", "fwa_direct_energy", "fwa_ellipse_axes", "fwa_ratio",
@@ -22,7 +22,7 @@ MODULES = ("cascade", "channel", "energy", "fwa", "region", "relay", "units")
 
 
 def test_all_lists_each_public_name_once():
-    assert len(wastefigure.__all__) == len(set(wastefigure.__all__)) == 54
+    assert len(wastefigure.__all__) == len(set(wastefigure.__all__)) == 53
     assert set(wastefigure.__all__) == PUBLIC
 
 

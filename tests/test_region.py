@@ -15,7 +15,6 @@ from wastefigure import (
     FwaScenario,
     GridSpec,
     RelayScenario,
-    TrafficMix,
     fwa_verdict,
     region_json_doc,
     region_subset,
@@ -268,7 +267,7 @@ class TestSweepFwa:
         s = FwaScenario(
             w_tx_ue=3.0, w_tx_bs=15.0, w_tx_ap=10.0,
             g_rx_ue=10.0, g_rx_bs=10.0**1.5, g_rx_ap=10.0,
-            traffic=TrafficMix.from_uplink(0.5),
+            rho_u=0.5,
             alpha=4.0, d1=0.4, d2=0.5, d3=1.0, ctx=CTX0,
         )
         spec = GridSpec(nx=15, ny=15)
@@ -325,7 +324,7 @@ def fwa_scn(alpha=4.0, g_rx_ap=10.0):
     return FwaScenario(
         w_tx_ue=3.0, w_tx_bs=15.0, w_tx_ap=10.0,
         g_rx_ue=10.0, g_rx_bs=10.0**1.5, g_rx_ap=g_rx_ap,
-        traffic=TrafficMix.from_uplink(0.5),
+        rho_u=0.5,
         alpha=alpha, d1=0.4, d2=0.5, d3=1.0, ctx=CTX0,
     )
 
@@ -516,7 +515,7 @@ class TestSeededFirstTrue:
             s = FwaScenario(
                 w_tx_ue=data.draw(waste), w_tx_bs=data.draw(waste), w_tx_ap=data.draw(waste),
                 g_rx_ue=data.draw(gain), g_rx_bs=data.draw(gain), g_rx_ap=data.draw(gain),
-                traffic=TrafficMix.from_uplink(data.draw(st.floats(min_value=0.0, max_value=1.0))),
+                rho_u=data.draw(st.floats(min_value=0.0, max_value=1.0)),
                 **common,
             )
         # c is linear in p_np: scale p_np so that c / d3**alpha is the drawn share;
@@ -827,7 +826,7 @@ class TestSweepFollowsVerdict:
             s = FwaScenario(
                 w_tx_ue=data.draw(waste), w_tx_bs=data.draw(waste), w_tx_ap=data.draw(waste),
                 g_rx_ue=data.draw(gain), g_rx_bs=data.draw(gain), g_rx_ap=data.draw(gain),
-                traffic=TrafficMix.from_uplink(data.draw(st.floats(min_value=0.0, max_value=1.0))),
+                rho_u=data.draw(st.floats(min_value=0.0, max_value=1.0)),
                 **common,
             )
         nx = data.draw(st.integers(min_value=3, max_value=80))

@@ -136,13 +136,13 @@ class TestDecisionRule:
         rng = np.random.default_rng(22)
         for _ in range(300):
             s = random_scenario(rng, p_np=10.0 ** rng.uniform(-6, -2), k=rng.uniform(0.2, 5.0))
-            assert decision_rule_holds(s, include_pnp=True) == (relay_ratio(s) < 1.0)
+            assert relay_verdict(s).use_relay == (relay_ratio(s) < 1.0)
 
     def test_plain_rule_diverges_when_fixed_power_dominates(self):
         # geometry says relay, but paying p_np twice erases the win
         s = reference_scenario(ctx=EnergyContext(n0=1e-20, capacity=1e8, p_np=1e-6))
         assert decision_rule_holds(s)
-        assert decision_rule_holds(s, include_pnp=True) == (relay_ratio(s) < 1.0)
+        assert relay_verdict(s).use_relay == (relay_ratio(s) < 1.0)
         assert relay_ratio(s) > 1.0
 
     def test_ratio_increases_with_relay_waste(self):
@@ -237,7 +237,6 @@ class TestMarginWithFixedPower:
         v = relay_verdict(s)
         assume(abs(v.ratio - 1.0) > 1e-9)
         assert (v.decision_margin > 0.0) == v.use_relay
-        assert decision_rule_holds(s, include_pnp=True) == v.use_relay
 
     def test_fixed_power_flips_the_margin(self):
         s = reference_scenario(ctx=EnergyContext(n0=1e-20, capacity=1e8, p_np=1e-9))
@@ -264,12 +263,11 @@ class TestUnrepresentableDistance:
         with pytest.raises(ValueError, match=match):
             relay_verdict(s)
 
-    @pytest.mark.parametrize("include_pnp", [False, True])
-    def test_decision_rule_names_the_overflow(self, include_pnp):
+    def test_decision_rule_names_the_overflow(self):
         s = reference_scenario(d1=5e59, d2=5e59, d3=1e60)
         match = r"^decision rule: d\*\*alpha = 1e\+60\*\*6\.0 is outside the float range"
         with pytest.raises(ValueError, match=match):
-            decision_rule_holds(s, include_pnp=include_pnp)
+            decision_rule_holds(s)
 
 
 class TestOverflowingWaste:
