@@ -593,6 +593,14 @@ class TestFlagsMeanTheirSections:
             assert Path(f"{a}.{ext}").read_bytes() == Path(f"{b}.{ext}").read_bytes()
         assert json.loads(Path(f"{a}.json").read_text())["region"]["grid"]["d3"] == d3
 
+    def test_no_output_flags_write_no_files(self, scenario, tmp_path, capsys, monkeypatch):
+        path = scenario({"relay_scenario": RELAY_BODY, "sweep": {"nx": 21, "ny": 21}})
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "relay", path)
+        assert code == 0
+        assert "advantageous area fraction" in out
+        assert sorted(p.name for p in tmp_path.iterdir()) == [Path(path).name]
+
     def test_csv_without_sweep_fails_before_the_verdict(self, scenario, tmp_path, capsys):
         doc = {"relay_scenario": RELAY_BODY}
         code, out, err = run(capsys, "relay", scenario(doc), "--csv", str(tmp_path / "region.csv"))

@@ -80,6 +80,23 @@ class TestTrafficShares:
         with pytest.raises(ValueError, match=r"^rho_u must be in \[0, 1\], got "):
             hw_scenario(bad)
 
+    @pytest.mark.parametrize("rho_u", [0.0, 1.0])
+    def test_share_edges_build(self, rho_u):
+        s = hw_scenario(rho_u)
+        assert (s.rho_u, s.rho_d) == (rho_u, 1.0 - rho_u)
+
+    def test_downlink_share_is_read_only(self):
+        s = hw_scenario(0.3)
+        with pytest.raises(AttributeError):
+            s.rho_d = 0.5
+        assert s.rho_d == 0.7
+
+    def test_downlink_share_is_not_an_argument(self):
+        with pytest.raises(TypeError, match="rho_d"):
+            FwaScenario(
+                rho_u=0.5, rho_d=0.5, alpha=4.0, d1=0.4, d2=0.5, d3=1.0, ctx=CTX0, **HW
+            )
+
 
 class TestCoefficients:
     # frozen against an independent Decimal-arithmetic evaluation of the

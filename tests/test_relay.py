@@ -263,8 +263,11 @@ class TestUnrepresentableDistance:
         with pytest.raises(ValueError, match=match):
             relay_verdict(s)
 
-    def test_decision_rule_names_the_overflow(self):
-        s = reference_scenario(d1=5e59, d2=5e59, d3=1e60)
+    @pytest.mark.parametrize("p_np", [0.0, 1e-6])
+    def test_decision_rule_names_the_overflow(self, p_np):
+        # the plain rule is geometry alone: non-path power changes nothing here
+        ctx = EnergyContext(n0=1e-20, capacity=1e8, p_np=p_np)
+        s = reference_scenario(d1=5e59, d2=5e59, d3=1e60, ctx=ctx)
         match = r"^decision rule: d\*\*alpha = 1e\+60\*\*6\.0 is outside the float range"
         with pytest.raises(ValueError, match=match):
             decision_rule_holds(s)
