@@ -50,6 +50,10 @@ class LinkSetup:
     g_ch: float
     channel: PathLossChannel | None  # present when given as k/alpha/distance
 
+    def __post_init__(self) -> None:
+        if self.channel is not None and self.g_ch != self.channel.gain():
+            raise ValueError(f"g_ch {self.g_ch!r} is not the channel's gain {self.channel.gain()!r}")
+
 
 @dataclass(frozen=True)
 class ScenarioFile:
@@ -242,7 +246,7 @@ LinkSetup.to_config, RelayScenario.to_config, FwaScenario.to_config = (
 
 
 _STAGE_KEYS = frozenset({"label", "gain", "gain_db", "waste", "waste_db", "passive"})
-_SWEEP_KEYS = frozenset(field.name for field in dataclasses.fields(GridSpec))
+_SWEEP_KEYS = frozenset(field.name for field in dataclasses.fields(GridSpec)) - {"d3"}
 
 
 def _parse_stage(entry, index: int) -> Stage:
@@ -291,11 +295,10 @@ def _read_count(section: dict, key: str, where: str) -> int:
     return n
 
 
-def _parse_sweep(section, default_d3: float) -> GridSpec:
+def _parse_sweep(section, d3: float) -> GridSpec:
     where = "sweep"
     section = _mapping(section, _SWEEP_KEYS, where)
     mode = section.get("mode", "normalized")
-    d3 = _num(section, "d3", where, default_d3)
     fields = {"x_range": _read_range, "y_range": _read_range, "nx": _read_count, "ny": _read_count}
     values = {key: read(section, key, where) for key, read in fields.items() if key in section}
     try:  # GridSpec names the field; the prefix names the section

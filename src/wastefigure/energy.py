@@ -28,7 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .units import FLOAT_MAX, finite, finite_power, finite_ratio
+from .units import FLOAT_MAX, FLOAT_MIN, finite, finite_power, finite_ratio
 
 __all__ = [
     "ApproximationRegimeWarning",
@@ -253,17 +253,40 @@ def max_efficient_distance(
     _require("alpha", alpha, minimum=0.0, exclusive=True)
     n0c = ctx.n0 * ctx.capacity
     den = t.w_tx * LN2 * n0c
-    scale = k / den if den else math.inf  # inf where N0*C is subnormal or underflowed
-    if scale == math.inf and ctx.p_np == 0.0:  # without p_np, N0*C cancels from the base
-        braced = k * (1.0 - t.g_rx * t.w_rx) / t.w_tx
-    else:
-        braced = scale * (ctx.p_np * t.g_rx + n0c * LN2 * (1.0 - t.g_rx * t.w_rx))
-        if braced == math.inf and scale == math.inf and den:  # k / den overflowed, the base
-            # may not: its sign is the braced sum's, its size the expanded sum's
-            braced = abs(k * ctx.p_np * t.g_rx / den + k * (1.0 - t.g_rx * t.w_rx) / t.w_tx)
+    scale = k / den if den else math.inf
+    braced = scale * (ctx.p_np * t.g_rx + n0c * LN2 * (1.0 - t.g_rx * t.w_rx))
+    # the float expression where N0*C and k / den are normal and the product is finite
+    if not (FLOAT_MIN <= n0c and FLOAT_MIN <= scale <= FLOAT_MAX and abs(braced) <= FLOAT_MAX):
+        return _exact_max_efficient_distance(ctx, t, k, alpha)
     if braced <= 0.0:
         return None
-    return finite_power(
-        "max efficient distance: (k / (w_tx ln2 N0 C) * (p_np g_rx + N0 C ln2 (1 - g_rx w_rx)))"
-        "**(1/alpha)", braced, 1.0 / alpha
-    )
+    return finite_power(_D_STAR, braced, 1.0 / alpha)
+
+
+_D_STAR = (
+    "max efficient distance: (k / (w_tx ln2 N0 C) * (p_np g_rx + N0 C ln2 (1 - g_rx w_rx)))"
+    "**(1/alpha)"
+)
+
+
+def _exact_max_efficient_distance(ctx, t, k, alpha) -> float | None:
+    """``max_efficient_distance`` from its base in exact rationals.
+
+    With base = m * 2**e, m in (1/2, 2), the distance is 2**y for
+    y = (e + log2 m) / alpha, taken as 2**(y - n) * 2**n for n = floor(y):
+    a base that is no float still gives the distance where that is one.
+    """
+    from fractions import Fraction  # here, not at module level: it costs every CLI start ~2 ms
+
+    n0, c, p_np, w_tx, w_rx, g_rx, k, ln2 = map(
+        Fraction, (ctx.n0, ctx.capacity, ctx.p_np, t.w_tx, t.w_rx, t.g_rx, k, LN2))
+    base = k / (w_tx * ln2 * n0 * c) * (p_np * g_rx + n0 * c * ln2 * (1 - g_rx * w_rx))
+    if base <= 0:
+        return None
+    e = base.numerator.bit_length() - base.denominator.bit_length()
+    y = (e + Fraction(math.log2(base / Fraction(2) ** e))) / Fraction(alpha)
+    n = math.floor(y)
+    d = math.ldexp(2.0 ** float(y - n), n) if n < 1024 else math.inf
+    if 0.0 < d <= FLOAT_MAX:
+        return d
+    return finite_power(_D_STAR, float(base) if base <= FLOAT_MAX else math.inf, 1.0 / alpha)

@@ -9,8 +9,8 @@ included) exceeds ``Rule.rhs`` there. Two grid modes:
   by d3**alpha, so C enters as C / d3**alpha with the scenario's own d3;
   axes must be non-negative.
 * ``planar``: coordinates are candidate relay positions in the plane,
-  source at the origin, sink at (d3, 0) with the grid's d3; d1 and d2
-  are Euclidean distances to the grid point.
+  source at the origin, sink at (d3, 0) with the scenario's own d3; d1
+  and d2 are Euclidean distances to the grid point.
 
 Membership uses the strict inequality, so boundary points (where the
 two routes tie) count as not advantageous.
@@ -40,16 +40,16 @@ float operations, i*step + lo with the last point hi: ``_linspace`` on
 Python floats, bit for bit the ``np.linspace`` that ``GridSpec.x_points``/
 ``y_points`` return for the planar kernel.
 
-A region is stored as the mask's x-major run-length encoding, the form
-the JSON output writes. A sweep builds it from the row ends in O(nx),
-and its area fraction is sum(hi - lo) / (nx * ny). The CSV writer walks
-the runs row by row and never reads a cell. The mask itself is decoded
-only when a caller reads ``FeasibilityRegion.mask``.
+A region is its grid, its scenario and the mask's x-major run-length
+encoding, the form the JSON output writes. A sweep builds the runs from
+the row ends in O(nx); the area fraction sums the runs of 1s. The CSV
+writer walks the runs row by row and never reads a cell. The mask itself
+is decoded only when a caller reads ``FeasibilityRegion.mask``.
 
 numpy is imported only by the planar kernel, ``GridSpec.x_points``/
-``y_points``, ``FeasibilityRegion.mask`` (and so ``region_subset``), the
-mask-taking constructor and the run-length encode/decode helpers, so a
-normalized sweep and its CSV and JSON files run without it.
+``y_points``, ``FeasibilityRegion.mask`` (and so ``region_subset``),
+``FeasibilityRegion.from_mask`` and the run-length encode/decode helpers,
+so a normalized sweep and its CSV and JSON files run without it.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class GridSpec:
     y_range: tuple[float, float] = (0.0, 1.5)
     nx: int = 201
     ny: int = 201
-    d3: float = 1.0  # planar mode only; normalized mode scales C by the scenario's d3
+    d3: float = 1.0  # the d3 that planar_around boxed; sweeps use the scenario's d3, not this
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
@@ -103,6 +103,9 @@ class GridSpec:
                 lo, hi = rng
             except (TypeError, ValueError):
                 raise ValueError(f"{name} must be a (low, high) pair, got {rng!r}") from None
+            for end in (lo, hi):  # a bool is an int to Python, not a coordinate
+                if isinstance(end, bool):
+                    raise ValueError(f"{name} must be a number, got {end!r}")
             if not (in_range(name, lo, -FLOAT_MAX) and in_range(name, hi, lo, open_low=True)):
                 raise ValueError(f"{name} must satisfy low < high, got {rng!r}")
             lo, hi = float(lo), float(hi)
@@ -167,45 +170,37 @@ def _points(lo: float, hi: float, n: int) -> np.ndarray:
         raise MemoryError(f"{n} grid points do not fit in an array") from None
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class FeasibilityRegion:
     """Advantageous set of a sweep: mask[i, j] is grid point (x_i, y_j).
 
-    The region keeps only the mask's x-major run-length encoding; ``mask``
-    is decoded from it on first read and is read-only. A region built from
-    a mask of the grid's shape encodes that mask once.
+    The region keeps only the mask's x-major run-length encoding ``rle``;
+    the area fraction is summed from its runs and ``mask`` is decoded from
+    them, each on first read, and the mask is read-only.
     """
 
     spec: GridSpec
-    area_fraction: float
     scenario: RelayScenario | FwaScenario
-    _rle: tuple[int, list[int]] = field(repr=False)  # (first, runs), as rle_decode takes them
+    rle: tuple[int, list[int]] = field(repr=False)  # (first, runs), as rle_decode takes them
 
-    def __init__(self, spec: GridSpec, mask, area_fraction: float, scenario) -> None:
+    @classmethod
+    def from_mask(cls, spec: GridSpec, mask, scenario) -> "FeasibilityRegion":
+        """The region of a mask of the grid's shape, encoded once."""
         import numpy as np
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (spec.nx, spec.ny):
             raise ValueError(f"mask shape {mask.shape} does not match the {spec.nx}x{spec.ny} grid")
-        if area_fraction != mask.mean():
-            raise ValueError(
-                f"area_fraction {area_fraction!r} is not the mask's mean {float(mask.mean())!r}"
-            )
-        self._fill(spec, area_fraction, scenario, _rle_encode(mask.ravel()))
+        return cls(spec, scenario, _rle_encode(mask.ravel()))
 
-    @classmethod
-    def _from_rle(cls, spec: GridSpec, area_fraction: float, scenario, rle) -> "FeasibilityRegion":
-        region = cls.__new__(cls)
-        region._fill(spec, area_fraction, scenario, rle)
-        return region
-
-    def _fill(self, spec, area_fraction, scenario, rle) -> None:
-        # the instance is frozen; its fields are set once, here
-        self.__dict__.update(spec=spec, area_fraction=area_fraction, scenario=scenario, _rle=rle)
+    @cached_property
+    def area_fraction(self) -> float:
+        first, runs = self.rle
+        return sum(runs[1 - first :: 2]) / (self.spec.nx * self.spec.ny)
 
     @cached_property
     def mask(self) -> np.ndarray:
         """The (nx, ny) bool mask, decoded from the runs on first read."""
-        mask = rle_decode(*self._rle, (self.spec.nx, self.spec.ny))
+        mask = rle_decode(*self.rle, (self.spec.nx, self.spec.ny))
         mask.setflags(write=False)
         return mask
 
@@ -283,14 +278,14 @@ def _intervals_rle(los: np.ndarray, his: np.ndarray, ny: int) -> tuple[int, list
     return first, np.diff(np.concatenate(([0], inner, [size]))).tolist()
 
 
-def _planar_runs(spec: GridSpec, rule, lhs: float) -> tuple[int, tuple[int, list[int]]]:
-    """Planar kernel, all rows at once: (cells in, runs); row i is in on [los[i], his[i])."""
+def _planar_runs(spec: GridSpec, rule, lhs: float, d3: float) -> tuple[int, list[int]]:
+    """Planar kernel, all rows at once, sink at (d3, 0): runs; row i is in on [los[i], his[i])."""
     import numpy as np
     xs, ys = spec.x_points(), spec.y_points()
 
     def holds(rows: np.ndarray, js: np.ndarray) -> np.ndarray:
         x, y = xs[rows], ys[js]
-        return lhs > rule.rhs(np.hypot(x, y), np.hypot(x - spec.d3, y))
+        return lhs > rule.rhs(np.hypot(x, y), np.hypot(x - d3, y))
 
     # members are a prefix of the y >= 0 half and a suffix of the y < 0 half;
     # a right-hand side that overflows to inf exceeds the finite lhs, the exact
@@ -299,16 +294,16 @@ def _planar_runs(spec: GridSpec, rule, lhs: float) -> tuple[int, tuple[int, list
     # the seeds' own 0/0 and x/0 only make a poor seed, so divide is silenced too
     j0 = int(np.searchsorted(ys, 0.0))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        y_star = _boundary_y(rule, lhs, xs, spec.d3)
+        y_star = _boundary_y(rule, lhs, xs, d3)
         his = _seeded_first_true(
             lambda rows, js: ~holds(rows, js), np.searchsorted(ys, y_star), j0, spec.ny
         )
         los = _seeded_first_true(holds, np.searchsorted(ys, -y_star, side="right"), 0, j0)
-    return int((his - los).sum()), _intervals_rle(los, his, spec.ny)
+    return _intervals_rle(los, his, spec.ny)
 
 
-def _normalized_runs(spec: GridSpec, rule, lhs: float) -> tuple[int, tuple[int, list[int]]]:
-    """Normalized kernel on Python floats: (cells in, runs); row i is in on [0, his[i]).
+def _normalized_runs(spec: GridSpec, rule, lhs: float) -> tuple[int, list[int]]:
+    """Normalized kernel on Python floats: runs; row i is in on [0, his[i]).
 
     The axes start at 0, so a row's cells are a prefix: its end is the first
     column where the rule's own test lhs > a*x**alpha + b*y**alpha fails, as
@@ -327,7 +322,7 @@ def _normalized_runs(spec: GridSpec, rule, lhs: float) -> tuple[int, tuple[int, 
         while end < ny and lhs > ax + by[end]:
             end += 1
         his.append(end)
-    return sum(his), _prefix_rle(his, ny)
+    return _prefix_rle(his, ny)
 
 
 def _prefix_rle(his: list[int], ny: int) -> tuple[int, list[int]]:
@@ -353,12 +348,10 @@ def _prefix_rle(his: list[int], ny: int) -> tuple[int, list[int]]:
 
 def _sweep(spec: GridSpec, s: RelayScenario | FwaScenario) -> FeasibilityRegion:
     """The region of the scenario's rule on the grid; the grid's mode picks the kernel."""
-    rule = s._rule()
-    if spec.mode == "planar":
-        cells, rle = _planar_runs(spec, rule, rule.lhs(spec.d3, normalized=False))
-    else:
-        cells, rle = _normalized_runs(spec, rule, rule.lhs(s.d3, normalized=True))
-    return FeasibilityRegion._from_rle(spec, cells / (spec.nx * spec.ny), s, rle)
+    rule, planar = s._rule(), spec.mode == "planar"
+    lhs = rule.lhs(s.d3, normalized=not planar)
+    rle = _planar_runs(spec, rule, lhs, s.d3) if planar else _normalized_runs(spec, rule, lhs)
+    return FeasibilityRegion(spec, s, rle)
 
 
 def sweep_relay(s: RelayScenario, spec: GridSpec, workers: int = 1) -> FeasibilityRegion:
@@ -366,8 +359,9 @@ def sweep_relay(s: RelayScenario, spec: GridSpec, workers: int = 1) -> Feasibili
 
     The scenario's stored d1/d2 are not used: each grid point implies
     its own geometry (normalized ratios, or planar positions with the
-    grid's d3). In normalized mode the scenario's d3 scales the non-path
-    power term, so the scenario's own point lands on its own verdict.
+    sink at the scenario's d3; the grid's d3 is not read). In normalized
+    mode that d3 scales the non-path power term, so the scenario's own
+    point lands on its own verdict.
     Each grid row's advantageous cells are one interval, whose ends are
     found with the rule's own test; normalized grids run on Python floats,
     planar grids on numpy. The region stores the runs of those intervals;
@@ -403,7 +397,7 @@ def write_region_csv(region: FeasibilityRegion, path) -> None:
     ny = spec.ny
     ys = _linspace(*spec.y_range, ny)
     tails = tuple([f",{y:.17g},{m}\n" for y in ys] for m in (0, 1))
-    first, runs = region._rle
+    first, runs = region.rle
     runs = iter(runs)
     value, left = 1 - first, 0  # the current run's value and its cells not yet written
     with open(path, "w", encoding="utf-8") as fh:
@@ -437,7 +431,7 @@ def rle_decode(first: int, runs: list[int], shape: tuple[int, int]) -> np.ndarra
 
 def region_json_doc(region: FeasibilityRegion) -> dict:
     """Sweep as a JSON-ready mapping: grid, scenario echo, RLE mask, area."""
-    first, runs = region._rle
+    first, runs = region.rle
     return {
         "grid": {
             "mode": region.spec.mode,
@@ -445,7 +439,7 @@ def region_json_doc(region: FeasibilityRegion) -> dict:
             "y_range": list(region.spec.y_range),
             "nx": region.spec.nx,
             "ny": region.spec.ny,
-            "d3": region.spec.d3,
+            "d3": region.scenario.d3,
         },
         "scenario": region.scenario.to_config(),
         "area_fraction": region.area_fraction,

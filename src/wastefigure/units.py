@@ -15,6 +15,7 @@ __all__ = ["db_to_linear", "linear_to_db"]
 # the largest finite float: ``x <= FLOAT_MAX`` is false for inf, NaN and an
 # int too large for a float, so one chained comparison checks "finite"
 FLOAT_MAX = sys.float_info.max
+FLOAT_MIN = sys.float_info.min  # the smallest normal float
 
 
 def in_range(

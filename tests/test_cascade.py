@@ -109,6 +109,7 @@ class TestCascadeWaste:
 
     def test_all_ideal_chain_is_ideal(self):
         c = Cascade(tuple(Stage(gain=g, waste=1.0) for g in (10.0, 0.5, 4.0)))
+        assert len(c) == 3
         assert cascade_waste(c) == 1.0
 
     def test_three_stage_chain(self):

@@ -222,7 +222,9 @@ class TestSectionShapes:
              f"sweep.nx must be at most sys.maxsize = {sys.maxsize}, got {10**20}"),
             (dict(RELAY_DEMO, sweep={"mode": "polar"}),
              "sweep.mode must be one of ('normalized', 'planar'), got 'polar'"),
-            (dict(RELAY_DEMO, sweep={"d3": 0}), "sweep.d3 must be positive and finite, got 0.0"),
+            # the sink of a sweep is its scenario's d3: the grid has no d3 of its own
+            (dict(RELAY_DEMO, sweep={"d3": 2.0}),
+             "sweep: unknown field(s) ['d3']; allowed: ['mode', 'nx', 'ny', 'x_range', 'y_range']"),
             # a partial or empty path-loss channel names its first missing field
             ({"link": dict(LINK_DEMO["link"], channel={"k": 1e-4, "alpha": 2.0})},
              "link.channel: missing required field distance"),

@@ -7,6 +7,7 @@ Infinity. The two-hop verdicts decide by the sign of the rule margin.
 """
 
 import contextlib
+import decimal
 import io
 import json
 import math
@@ -15,10 +16,11 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wastefigure import (
     ApproximationRegimeWarning,
@@ -54,9 +56,9 @@ from wastefigure import (
     wideband_rate_limit,
 )
 from wastefigure.cli import main
-from wastefigure.config import parse_scenario
+from wastefigure.config import LinkSetup, parse_scenario
 from wastefigure.energy import LN2
-from wastefigure.units import finite_power
+from wastefigure.units import FLOAT_MAX, FLOAT_MIN, finite_power
 
 VALUES = st.one_of(
     st.floats(-320.0, 308.0).map(lambda e: 10.0**e),
@@ -249,8 +251,11 @@ class TestLibraryNamedErrors:
             (lambda: FwaScenario(**dict(RECORDS[FwaScenario], ctx=None)),
              "ctx must be an EnergyContext, got None"),
             (lambda: Cascade((1.0,)), "cascade entries must be Stage, got 1.0"),
+            # a link's channel gain has one value: its echo re-parses with the channel's
+            (lambda: LinkSetup(CTX, LinkTerminals(2.0, 1.5, 10.0), 0.5, PathLossChannel(1e-3, 2.0, 1.0)),
+             "g_ch 0.5 is not the channel's gain 0.001"),
         ],
-        ids=["link-g_ch", "traffic-share", "fwa-ctx", "cascade-entry"],
+        ids=["link-g_ch", "traffic-share", "fwa-ctx", "cascade-entry", "link-setup-g_ch"],
     )
     def test_invalid_argument_is_named(self, build, message):
         with pytest.raises(ValueError) as raised:
@@ -335,10 +340,13 @@ class TestLibraryNamedErrors:
         assert max_efficient_distance(ctx, terminals, k=1.0, alpha=2.0) == distance
 
     def test_max_efficient_distance_with_p_np_where_n0_c_underflows_is_named(self):
+        # the base 10 / (2 ln2 1e-400) - 7 overflows a float; its square root does not
         ctx, t = EnergyContext(1e-200, 1e-200, 1.0), LinkTerminals(2.0, 1.5, 10.0)
-        match = r"^max efficient distance: .* = inf\*\*0\.5 is outside the float range$"
+        d_star = max_efficient_distance(ctx, t, k=1.0, alpha=2.0)
+        assert math.isclose(d_star, math.sqrt(5.0 / math.log(2.0)) * 1e200, rel_tol=1e-12)
+        match = r"^max efficient distance: .* = inf\*\*2\.0 is outside the float range$"
         with pytest.raises(ValueError, match=match):
-            max_efficient_distance(ctx, t, k=1.0, alpha=2.0)
+            max_efficient_distance(ctx, t, k=1.0, alpha=0.5)
 
     def test_max_efficient_distance_where_only_k_over_n0_c_overflows(self):
         # k / (w_tx ln2 N0 C) overflows, the base k p_np g_rx / (w_tx ln2 N0 C) = 1e20 / ln2 does not
@@ -351,19 +359,59 @@ class TestLibraryNamedErrors:
            terminals=st.builds(LinkTerminals, VALUES.map(lambda w: max(w, 1.0)),
                                VALUES.map(lambda w: max(w, 1.0)), VALUES),
            k=VALUES, alpha=st.floats(1e-3, 8.0))
+    # N0*C is subnormal: the float expression drifted to 1.9064904e45
+    @example(EnergyContext(4.384057e-318, 2.1442681215771247e-05, 2.1111021955577444e-219),
+             LinkTerminals(30.486611422033377, 1.0, 0.9533895222724602), 1.3036757905832618e79, 4.0)
+    # k / den and both expanded terms overflow: the expanded base was inf + (-inf) = nan
+    @example(EnergyContext(1e308, 5e-324, 1.0), LinkTerminals(10.0, 1.0, 10.0), 1e308, 1.0)
+    # N0*C overflows, so the base was nan: here the exact base is 0, and then 0.3
+    @example(EnergyContext(10.0, 1.7e308, 0.0), LinkTerminals(1.0, 1.0, 1.0), 1.0, 1.0)
+    @example(EnergyContext(1e200, 1e200, 1.0), LinkTerminals(2.0, 1.0, 0.4), 1.0, 2.0)
     def test_max_efficient_distance_keeps_the_reference_answers(self, ctx, terminals, k, alpha):
-        def outcome(fn):
+        try:
+            got = max_efficient_distance(ctx, terminals, k, alpha)
+        except ValueError as exc:
+            got = str(exc)
+        # the program's fast-path condition, in the program's order
+        n0c = ctx.n0 * ctx.capacity
+        den = terminals.w_tx * LN2 * n0c
+        scale = k / den if den else math.inf
+        t = terminals
+        braced = scale * (ctx.p_np * t.g_rx + n0c * LN2 * (1.0 - t.g_rx * t.w_rx))
+        if FLOAT_MIN <= n0c and FLOAT_MIN <= scale <= FLOAT_MAX and abs(braced) <= FLOAT_MAX:
             try:
-                return fn(ctx, terminals, k, alpha)
+                want = reference_max_efficient_distance(ctx, terminals, k, alpha)
             except ValueError as exc:
-                return str(exc)
-
-        want, got = outcome(reference_max_efficient_distance), outcome(max_efficient_distance)
-        den = terminals.w_tx * LN2 * ctx.n0 * ctx.capacity
-        if not isinstance(want, str) or (den and k / den < math.inf):
+                want = str(exc)
             assert got == want  # floats compare bit for bit here: neither is nan or -0.0
-        else:  # the reference raised where k / den overflows: a distance or a named error now
-            assert isinstance(got, str) or 0.0 < got < math.inf
+            return
+        base = exact_base(ctx, terminals, k)
+        if base <= 0:
+            assert got is None
+            return
+        Dec = decimal.Decimal
+        with decimal.localcontext() as dc:
+            dc.prec, dc.Emax, dc.Emin = 40, decimal.MAX_EMAX, decimal.MIN_EMIN
+            base = Dec(base.numerator) / Dec(base.denominator)
+            distance = (base.ln() / Dec(alpha)).exp()
+            if not FLOAT_MIN <= distance <= FLOAT_MAX:  # beyond the float range, or subnormal
+                if isinstance(got, str):
+                    assert distance < 5e-324 or distance > FLOAT_MAX
+                    assert got.startswith("max efficient distance: ")
+                    assert got.endswith(" is outside the float range")
+                else:  # a subnormal distance, to its own precision
+                    assert abs(Dec(got) - distance) <= Dec(5e-324)
+                return
+            assert isinstance(got, float)
+            assert abs(Dec(got) ** Dec(alpha) / base - 1) <= Dec("1e-12")
+
+
+def exact_base(ctx, t, k):
+    """The base of the max efficient distance in exact rationals, each float operand exact."""
+    n0c, ln2 = Fraction(ctx.n0) * Fraction(ctx.capacity), Fraction(LN2)
+    return Fraction(k) / (Fraction(t.w_tx) * ln2 * n0c) * (
+        Fraction(ctx.p_np) * Fraction(t.g_rx) + n0c * ln2 * (1 - Fraction(t.g_rx) * Fraction(t.w_rx))
+    )
 
 
 def reference_max_efficient_distance(ctx, t, k, alpha):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import wastefigure
 from wastefigure import (
     EnergyContext,
     FeasibilityRegion,
@@ -21,8 +22,6 @@ from wastefigure import (
     relay_verdict,
     rle_decode,
     rule_coefficients,
-    sweep_fwa,
-    sweep_relay,
     write_region_csv,
     write_region_json,
 )
@@ -32,7 +31,21 @@ from wastefigure.units import FLOAT_MAX
 CTX0 = EnergyContext(n0=1e-20, capacity=1e8, p_np=0.0)
 
 
-def relay_scn(w_tx_relay=2.0, g_rx_relay=1e3, g_rx_sink=10.0, alpha=6.0):
+def area_checked(sweep):
+    """``sweep``, checking that each region's area fraction is its mask's mean."""
+
+    def checked(*args, **kwargs):
+        region = sweep(*args, **kwargs)
+        assert region.area_fraction == float(region.mask.mean())
+        return region
+
+    return checked
+
+
+sweep_relay, sweep_fwa = area_checked(wastefigure.sweep_relay), area_checked(wastefigure.sweep_fwa)
+
+
+def relay_scn(w_tx_relay=2.0, g_rx_relay=1e3, g_rx_sink=10.0, alpha=6.0, d3=1.0):
     return RelayScenario(
         w_tx_source=1.0,
         w_tx_relay=w_tx_relay,
@@ -41,7 +54,7 @@ def relay_scn(w_tx_relay=2.0, g_rx_relay=1e3, g_rx_sink=10.0, alpha=6.0):
         alpha=alpha,
         d1=0.5,
         d2=0.5,
-        d3=1.0,
+        d3=d3,
         ctx=CTX0,
     )
 
@@ -51,9 +64,9 @@ def symmetric_scn(alpha=2.0):
     return relay_scn(w_tx_relay=1.0, g_rx_relay=10.0, g_rx_sink=10.0, alpha=alpha)
 
 
-def loop_mask(spec, alpha, a, b):
-    """Brute-force reference: evaluate the rule point by point in Python."""
-    xs, ys = spec.x_points(), spec.y_points()
+def loop_mask(spec, s, a, b):
+    """Brute-force reference: evaluate the rule point by point in Python, sink at the scenario's d3."""
+    alpha, xs, ys = s.alpha, spec.x_points(), spec.y_points()
     out = np.zeros((spec.nx, spec.ny), dtype=bool)
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
@@ -61,8 +74,8 @@ def loop_mask(spec, alpha, a, b):
                 d1, d2, lhs = x, y, 1.0
             else:
                 d1 = math.hypot(x, y)
-                d2 = math.hypot(x - spec.d3, y)
-                lhs = spec.d3**alpha
+                d2 = math.hypot(x - s.d3, y)
+                lhs = s.d3**alpha
             out[i, j] = lhs > a * d1**alpha + b * d2**alpha
     return out
 
@@ -155,9 +168,11 @@ class TestGridSpec:
             ((0.0,), "must be a (low, high) pair, got (0.0,)"),
             ((0.0, 1.0, 2.0), "must be a (low, high) pair, got (0.0, 1.0, 2.0)"),
             (1.0, "must be a (low, high) pair, got 1.0"),
+            # True is an int to Python, but no coordinate, as nx=True is no count
+            ((False, True), "must be a number, got False"),
         ],
         ids=["equal", "decreasing", "inf", "huge-int", "span-overflow",
-             "str", "str-high", "none", "one", "three", "scalar"],
+             "str", "str-high", "none", "one", "three", "scalar", "bool"],
     )
     def test_range_must_increase(self, bad, message):
         with pytest.raises(ValueError) as raised:
@@ -183,15 +198,15 @@ class TestSweepRelay:
         s = relay_scn()
         spec = GridSpec(nx=21, ny=17)
         region = sweep_relay(s, spec)
-        expected = loop_mask(spec, s.alpha, s.g_rx_sink / s.g_rx_relay, s.w_tx_relay)
+        expected = loop_mask(spec, s, s.g_rx_sink / s.g_rx_relay, s.w_tx_relay)
         assert np.array_equal(region.mask, expected)
 
     def test_planar_matches_pointwise_loop(self):
-        s = relay_scn(alpha=3.0)
+        s = relay_scn(alpha=3.0, d3=2.0)
         spec = GridSpec.planar_around(2.0, nx=19, ny=23)
         region = sweep_relay(s, spec)
         expected = loop_mask(
-            spec, 3.0, s.g_rx_sink / s.g_rx_relay, s.w_tx_relay / s.w_tx_source
+            spec, s, s.g_rx_sink / s.g_rx_relay, s.w_tx_relay / s.w_tx_source
         )
         assert np.array_equal(region.mask, expected)
 
@@ -226,6 +241,11 @@ class TestSweepRelay:
         with pytest.raises(ValueError):
             region.mask[0, 0] = True
 
+    @pytest.mark.parametrize("d3", [1e200, 1e-200])
+    def test_planar_d3_power_outside_float_range_is_named(self, d3):
+        with pytest.raises(ValueError, match=r"^sweep: d3\*\*alpha = .* is outside the float range$"):
+            sweep_relay(relay_scn(d3=d3), GridSpec.planar_around(d3, nx=5, ny=5))
+
     @pytest.mark.parametrize("n", [sys.maxsize, sys.maxsize // 8])
     @pytest.mark.parametrize("axis", ["nx", "ny"])
     def test_planar_count_numpy_cannot_size_is_memory_error(self, axis, n):
@@ -258,7 +278,7 @@ class TestNormalizedKernelOnPythonFloats:
         )
         rule = s._rule()
         region = sweep_relay(s, spec)
-        assert np.array_equal(region.mask, loop_mask(spec, alpha, rule.a, rule.b))
+        assert np.array_equal(region.mask, loop_mask(spec, s, rule.a, rule.b))
         assert region.area_fraction == float(region.mask.mean())
 
 
@@ -272,7 +292,7 @@ class TestSweepFwa:
         )
         spec = GridSpec(nx=15, ny=15)
         a, b = rule_coefficients(s)
-        assert np.array_equal(sweep_fwa(s, spec).mask, loop_mask(spec, 4.0, a, b))
+        assert np.array_equal(sweep_fwa(s, spec).mask, loop_mask(spec, s, a, b))
 
 
 class TestParallelSweeps:
@@ -301,31 +321,33 @@ class TestParallelSweeps:
         assert blobs[0] == blobs[1] == blobs[2]
 
 
-def reference_rule_mask(spec, alpha, a, b, lhs=None):
+def reference_rule_mask(spec, s, a, b, lhs=None):
     """Full-grid broadcast evaluation of the rule: the sweeps must equal it bit for bit.
 
-    ``lhs`` defaults to the rule's constant side without a non-path power term.
+    The sink is at the scenario's d3. ``lhs`` defaults to the rule's constant
+    side without a non-path power term.
     """
+    alpha = s.alpha
     x = spec.x_points()[:, None]
     y = spec.y_points()[None, :]
     if spec.mode == "normalized":
         d1, d2, lhs0 = x, y, 1.0
     else:
         d1 = np.hypot(x, y)
-        d2 = np.hypot(x - spec.d3, y)
-        lhs0 = spec.d3**alpha
+        d2 = np.hypot(x - s.d3, y)
+        lhs0 = s.d3**alpha
     if lhs is None:
         lhs = lhs0
     with np.errstate(over="ignore"):
         return lhs > a * d1**alpha + b * d2**alpha
 
 
-def fwa_scn(alpha=4.0, g_rx_ap=10.0):
+def fwa_scn(alpha=4.0, g_rx_ap=10.0, d3=1.0):
     return FwaScenario(
         w_tx_ue=3.0, w_tx_bs=15.0, w_tx_ap=10.0,
         g_rx_ue=10.0, g_rx_bs=10.0**1.5, g_rx_ap=g_rx_ap,
         rho_u=0.5,
-        alpha=alpha, d1=0.4, d2=0.5, d3=1.0, ctx=CTX0,
+        alpha=alpha, d1=0.4, d2=0.5, d3=d3, ctx=CTX0,
     )
 
 
@@ -336,7 +358,7 @@ def swept_and_reference(kind, s, spec):
     else:
         region = sweep_fwa(s, spec)
         a, b = rule_coefficients(s)
-    return region, reference_rule_mask(spec, s.alpha, a, b)
+    return region, reference_rule_mask(spec, s, a, b)
 
 
 def planar(x_range, y_range, nx, ny, d3=1.0):
@@ -366,7 +388,7 @@ class TestIntervalKernelExact:
         ],
     )
     def test_mask_equals_full_grid_kernel(self, kind, spec):
-        s = relay_scn(alpha=4.0) if kind == "relay" else fwa_scn(alpha=4.0)
+        s = (relay_scn if kind == "relay" else fwa_scn)(alpha=4.0, d3=spec.d3)
         region, expected = swept_and_reference(kind, s, spec)
         assert np.array_equal(region.mask, expected)
         assert region.area_fraction == float(region.mask.mean())
@@ -387,9 +409,9 @@ class TestIntervalKernelExact:
     def test_overflow_to_inf_drops_whole_rows(self, kind, spec, g_rx):
         # g_rx is the first hop's receiver gain: a tiny one makes A ~ 1e301
         if kind == "relay":
-            s = relay_scn(alpha=4.0, g_rx_relay=g_rx)
+            s = relay_scn(alpha=4.0, g_rx_relay=g_rx, d3=spec.d3)
         else:
-            s = fwa_scn(alpha=4.0, g_rx_ap=g_rx)
+            s = fwa_scn(alpha=4.0, g_rx_ap=g_rx, d3=spec.d3)
         region, expected = swept_and_reference(kind, s, spec)
         assert np.array_equal(region.mask, expected)
         assert not region.mask.any(axis=1).all()
@@ -435,11 +457,10 @@ class TestIntervalKernelExact:
             y_range=ranges[1],
             nx=data.draw(st.integers(min_value=2, max_value=300)),
             ny=data.draw(st.integers(min_value=2, max_value=300)),
-            d3=d3,
         )
         s = RelayScenario(
             w_tx_source=1e3, w_tx_relay=1e3 * b, g_rx_relay=1.0, g_rx_sink=a,
-            alpha=alpha, d1=0.5, d2=0.5, d3=1.0, ctx=CTX0,
+            alpha=alpha, d1=0.5, d2=0.5, d3=d3, ctx=CTX0,
         )
         region, expected = swept_and_reference("relay", s, spec)
         assert np.array_equal(region.mask, expected)
@@ -538,7 +559,8 @@ class TestSeededFirstTrue:
             grid = dict(mode="normalized")
             lhs = 1.0 - c / d3**alpha
         else:
-            # the grid's d3 sets lhs = g3**alpha - c
+            # the grid boxes the plane around its own d3, g3; the sink stays at
+            # the scenario's d3, so lhs = d3**alpha - c whatever g3 is
             g3 = d3 * data.draw(st.one_of(st.just(1.0), log_uniform(-0.3, 0.3)))
             if sx + sy > 1.0:
                 (x_lo, x_hi), h = (max(-sx, 1.0 - sy), min(sx, 1.0 + sy)), min(sx, sy)
@@ -552,15 +574,15 @@ class TestSeededFirstTrue:
                 (g3 * h * y_lo, g3 * h * y_hi),
             )
             grid = dict(mode="planar", d3=g3)
-            lhs = g3**alpha - c
+            lhs = d3**alpha - c
         assume(all(lo < hi for lo, hi in ranges))  # a narrow box far from 0 can round shut
         spec = GridSpec(x_range=ranges[0], y_range=ranges[1], nx=nx, ny=ny, **grid)
-        expected = reference_rule_mask(spec, alpha, a, b, lhs=lhs)
+        expected = reference_rule_mask(spec, s, a, b, lhs=lhs)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             sweep = sweep_relay if isinstance(s, RelayScenario) else sweep_fwa
             region = sweep(s, spec)
-        assert region._rle == _rle_encode(expected.ravel())
+        assert region.rle == _rle_encode(expected.ravel())
         assert region.area_fraction == float(expected.mean())
 
 
@@ -590,7 +612,7 @@ class TestSubset:
         if data.draw(st.booleans()):
             outer |= inner
         regions = [
-            FeasibilityRegion(spec=spec, mask=m, area_fraction=float(m.mean()), scenario=relay_scn())
+            FeasibilityRegion.from_mask(spec=spec, mask=m, scenario=relay_scn())
             for m in (inner, outer)
         ]
         assert region_subset(*regions) == bool(np.all(outer | ~inner))
@@ -696,9 +718,7 @@ class TestCsvGoldenBytes:
         spec = GridSpec(mode=mode, x_range=x_range, y_range=y_range, nx=nx, ny=ny)
         bits = data.draw(st.lists(st.booleans(), min_size=nx * ny, max_size=nx * ny))
         mask = np.array(bits, dtype=bool).reshape(nx, ny)
-        region = FeasibilityRegion(
-            spec=spec, mask=mask, area_fraction=float(mask.mean()), scenario=relay_scn()
-        )
+        region = FeasibilityRegion.from_mask(spec=spec, mask=mask, scenario=relay_scn())
         assert_csv_matches_reference(region, tmp_path_factory.mktemp("csv"))
 
 
@@ -754,7 +774,7 @@ def verdict_disagreements(s, spec, cells):
     """Cells (i, j) whose sweep mask differs from the scalar verdict there.
 
     Each cell's geometry is the one the sweep implies: normalized ratios
-    scaled by the scenario's d3, or planar positions with the grid's d3.
+    scaled by the scenario's d3, or planar positions with the scenario's d3.
     Cells on a near-tie (|ratio - 1| < 1e-9) or at a zero distance are
     skipped.
     """
@@ -772,7 +792,7 @@ def verdict_disagreements(s, spec, cells):
             if spec.mode == "normalized":
                 geometry = dict(d1=x * s.d3, d2=y * s.d3)
             else:
-                geometry = dict(d1=math.hypot(x, y), d2=math.hypot(x - spec.d3, y), d3=spec.d3)
+                geometry = dict(d1=math.hypot(x, y), d2=math.hypot(x - s.d3, y))
             if min(geometry["d1"], geometry["d2"]) == 0.0:
                 continue
             v = verdict(dataclasses.replace(s, **geometry))
@@ -799,6 +819,15 @@ class TestSweepFollowsVerdict:
             spec = GridSpec.planar_around(s.d3, nx=51, ny=51)
         cells = [(i, j) for i in range(51) for j in range(51)]
         assert verdict_disagreements(s, spec, cells) == []
+        # at p_np = 2e-12 the verdict is "use direct": no grid point beats the direct
+        # route to the scenario's sink, whichever d3 the grid was built or boxed around
+        s = dataclasses.replace(s, ctx=dataclasses.replace(s.ctx, p_np=2e-12))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", wastefigure.ApproximationRegimeWarning)
+            assert not relay_verdict(s).use_relay
+        for g3 in (0.5, 2.0, 7.0):
+            grid = GridSpec(nx=51, ny=51, d3=g3) if mode == "normalized" else GridSpec.planar_around(g3)
+            assert sweep_relay(s, grid).area_fraction == 0.0
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -835,7 +864,7 @@ class TestSweepFollowsVerdict:
             hi = st.floats(min_value=0.2, max_value=3.0)
             spec = GridSpec(x_range=(0.0, data.draw(hi)), y_range=(0.0, data.draw(hi)), nx=nx, ny=ny)
         else:
-            spec = GridSpec.planar_around(data.draw(log_uniform(-1.0, 2.0)), nx=nx, ny=ny)
+            spec = GridSpec.planar_around(s.d3, nx=nx, ny=ny)
         cell = st.tuples(st.integers(1, nx - 2), st.integers(1, ny - 2))
         cells = data.draw(st.lists(cell, min_size=1, max_size=30))
         assert verdict_disagreements(s, spec, cells) == []
@@ -907,7 +936,8 @@ class TestIntervalRuns:
         ids=["normalized", "planar"],
     )
     def test_lazy_mask_is_read_only_and_equals_reference(self, kind, spec):
-        region, expected = swept_and_reference(kind, relay_scn() if kind == "relay" else fwa_scn(), spec)
+        s = (relay_scn if kind == "relay" else fwa_scn)(d3=spec.d3)
+        region, expected = swept_and_reference(kind, s, spec)
         mask = region.mask
         assert mask is region.mask
         assert not mask.flags.writeable
@@ -923,10 +953,7 @@ class TestIntervalRuns:
         ny = data.draw(st.integers(min_value=2, max_value=9))
         bits = data.draw(st.lists(st.booleans(), min_size=nx * ny, max_size=nx * ny))
         mask = np.array(bits, dtype=bool).reshape(nx, ny)
-        region = FeasibilityRegion(
-            spec=GridSpec(nx=nx, ny=ny), mask=mask, area_fraction=float(mask.mean()),
-            scenario=relay_scn(),
-        )
+        region = FeasibilityRegion.from_mask(spec=GridSpec(nx=nx, ny=ny), mask=mask, scenario=relay_scn())
         doc = json.loads(json.dumps(region_json_doc(region)))
         m = doc["mask"]
         assert np.array_equal(rle_decode(m["first"], m["runs"], (nx, ny)), mask)
@@ -935,16 +962,8 @@ class TestIntervalRuns:
 
     def test_hand_built_mask_must_match_the_grid(self):
         with pytest.raises(ValueError, match="does not match the 3x4 grid"):
-            FeasibilityRegion(
-                spec=GridSpec(nx=3, ny=4), mask=np.zeros((4, 3), dtype=bool),
-                area_fraction=0.0, scenario=relay_scn(),
-            )
-
-    def test_hand_built_area_must_match_the_mask(self):
-        with pytest.raises(ValueError, match="area_fraction 0.9 is not the mask's mean 0.0"):
-            FeasibilityRegion(
-                spec=GridSpec(nx=3, ny=4), mask=np.zeros((3, 4), dtype=bool),
-                area_fraction=0.9, scenario=relay_scn(),
+            FeasibilityRegion.from_mask(
+                spec=GridSpec(nx=3, ny=4), mask=np.zeros((4, 3), dtype=bool), scenario=relay_scn(),
             )
 
     def test_doc_runs_are_a_copy(self):
