@@ -65,11 +65,11 @@ class Stage:
     label: str = ""
 
     def __init__(self, gain: float, waste: float, label: str = "") -> None:
-        try:
-            valid = 0.0 < gain <= FLOAT_MAX and 1.0 <= waste <= FLOAT_MAX
-        except TypeError:  # a non-number: the checks below name the field
-            valid = False
-        if not valid:
+        if not (gain.__class__ is float and waste.__class__ is float and label.__class__ is str
+                and 0.0 < gain <= FLOAT_MAX and 1.0 <= waste <= FLOAT_MAX):
+            # anything but valid floats and a str: the checks below name the field
+            if not isinstance(label, str):
+                raise ValueError(f"stage label must be a string, got {label!r}")
             name = label or "stage"
             _require_gain(name, gain)
             _require_waste(name, waste)

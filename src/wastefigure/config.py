@@ -30,7 +30,7 @@ from .energy import EnergyContext, LinkTerminals
 from .fwa import FwaScenario
 from .region import GridSpec
 from .relay import RelayScenario
-from .units import db_to_linear
+from .units import db_to_linear, in_range
 
 __all__ = [
     "LinkSetup",
@@ -51,6 +51,8 @@ class LinkSetup:
     channel: PathLossChannel | None  # present when given as k/alpha/distance
 
     def __post_init__(self) -> None:
+        if not in_range("g_ch", self.g_ch, 0.0, 1.0, open_low=True):
+            raise ValueError(f"g_ch must be in (0, 1] and finite, got {self.g_ch!r}")
         if self.channel is not None and self.g_ch != self.channel.gain():
             raise ValueError(f"g_ch {self.g_ch!r} is not the channel's gain {self.channel.gain()!r}")
 
@@ -119,22 +121,18 @@ def _shared_direction_value(section: dict, base: str, where: str, default) -> fl
 
     Per-direction fields are accepted for compatibility with layouts
     that track uplink and downlink separately, but the comparison
-    assumes they are equal and rejects anything else.
+    assumes one value, so every spelling given must be equal.
     """
     up, down = f"{base}_uplink", f"{base}_downlink"
+    if up not in section and down not in section:
+        return _num(section, base, where, default)
     if (up in section) != (down in section):
         raise ValueError(f"{where}: give both {up} and {down}, or just {base}")
-    if up not in section:
-        return _num(section, base, where, default)
-    v_up, v_down = _num(section, up, where), _num(section, down, where)
-    if v_up != v_down:
-        raise ValueError(
-            f"{where}: {up} and {down} must be equal (the energy comparison "
-            f"assumes shared values), got {v_up!r} and {v_down!r}"
-        )
-    if base in section and _num(section, base, where) != v_up:
-        raise ValueError(f"{where}: {base} disagrees with its per-direction fields")
-    return v_up
+    given = {key: _num(section, key, where) for key in (base, up, down) if key in section}
+    value = given[up]
+    if given[down] != value or given.get(base, value) != value:  # nan is unequal to itself
+        raise ValueError(f"{where}: {', '.join(given)} must be equal, got {list(given.values())}")
+    return value
 
 
 def _read_channel(section: dict, key: str, where: str, default) -> tuple:
@@ -288,20 +286,13 @@ def _read_range(section: dict, key: str, where: str) -> tuple[float, float]:
     return tuple(_num({key: value}, key, where) for value in rng)
 
 
-def _read_count(section: dict, key: str, where: str) -> int:
-    n = section[key]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"{where}.{key}: expected an integer, got {n!r}")
-    return n
-
-
 def _parse_sweep(section, d3: float) -> GridSpec:
     where = "sweep"
     section = _mapping(section, _SWEEP_KEYS, where)
     mode = section.get("mode", "normalized")
-    fields = {"x_range": _read_range, "y_range": _read_range, "nx": _read_count, "ny": _read_count}
-    values = {key: read(section, key, where) for key, read in fields.items() if key in section}
-    try:  # GridSpec names the field; the prefix names the section
+    values = {key: _read_range(section, key, where) if key.endswith("_range") else value
+              for key, value in section.items() if key != "mode"}
+    try:  # GridSpec names the field and checks the counts; the prefix names the section
         base = GridSpec.planar_around(d3) if mode == "planar" else GridSpec(mode=mode, d3=d3)
         return dataclasses.replace(base, **values)
     except ValueError as exc:

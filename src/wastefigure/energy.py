@@ -28,7 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .units import FLOAT_MAX, FLOAT_MIN, finite, finite_power, finite_ratio
+from .units import FLOAT_MAX, FLOAT_MIN, finite, finite_power, finite_ratio, in_range
 
 __all__ = [
     "ApproximationRegimeWarning",
@@ -68,14 +68,13 @@ def _check_regime(product: float, where: str) -> None:
 
 
 def _require(name: str, value: float, *, minimum: float, exclusive: bool = False) -> None:
-    # units.in_range's check written out: this runs once per field of every record
-    try:
-        if (minimum < value <= FLOAT_MAX) if exclusive else (minimum <= value <= FLOAT_MAX):
-            return
-    except TypeError:
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
-    bound = ">" if exclusive else ">="
-    raise ValueError(f"{name} must be {bound} {minimum} and finite, got {value!r}")
+    # a float in range returns at once: this runs once per field of every record
+    if value.__class__ is float and value <= FLOAT_MAX and (
+            minimum < value if exclusive else minimum <= value):
+        return
+    if not in_range(name, value, minimum, open_low=exclusive):
+        bound = ">" if exclusive else ">="
+        raise ValueError(f"{name} must be {bound} {minimum} and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,7 @@ def energy_per_bit_min(ctx: EnergyContext, w: float) -> float:
 
 def _received(t: LinkTerminals, g_ch: float) -> float:
     """The received fraction g_rx * g_ch, for a g_ch in (0, 1]."""
-    if not 0.0 < g_ch <= 1.0:
+    if not in_range("g_ch", g_ch, 0.0, 1.0, open_low=True):
         raise ValueError(f"g_ch must be in (0, 1] and finite, got {g_ch!r}")
     return t.g_rx * g_ch
 

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .energy import LN2, EnergyContext, _require
-from .relay import Rule, _compare, _fixed_power_term, _hop_waste
+from .energy import LN2, EnergyContext
+from .relay import Rule, _check_two_hop, _compare, _fixed_power_term, _hop_waste
 from .units import finite, in_range
 
 __all__ = [
@@ -67,14 +67,9 @@ class FwaScenario:
     k: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("w_tx_ue", "w_tx_bs", "w_tx_ap"):
-            _require(name, getattr(self, name), minimum=1.0)
-        for name in ("g_rx_ue", "g_rx_bs", "g_rx_ap", "alpha", "d1", "d2", "d3", "k"):
-            _require(name, getattr(self, name), minimum=0.0, exclusive=True)
+        _check_two_hop(self, ("w_tx_ue", "w_tx_bs", "w_tx_ap"), ("g_rx_ue", "g_rx_bs", "g_rx_ap"))
         if not in_range("rho_u", self.rho_u, 0.0, 1.0):
             raise ValueError(f"rho_u must be in [0, 1], got {self.rho_u!r}")
-        if not isinstance(self.ctx, EnergyContext):
-            raise ValueError(f"ctx must be an EnergyContext, got {self.ctx!r}")
 
     @property
     def rho_d(self) -> float:
@@ -131,7 +126,7 @@ def rule_coefficients(s: FwaScenario) -> tuple[float, float]:
 
 def fwa_decision_holds(s: FwaScenario) -> bool:
     """Closed-form test (negligible non-path power): does the AP save energy."""
-    return s._rule().margin(s.d1, s.d2, s.d3, include_c=False) > 0.0
+    return s._rule()._replace(c=0.0).margin(s.d1, s.d2, s.d3) > 0.0
 
 
 def fwa_ellipse_axes(s: FwaScenario) -> tuple[float, float]:

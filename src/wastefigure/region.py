@@ -103,9 +103,6 @@ class GridSpec:
                 lo, hi = rng
             except (TypeError, ValueError):
                 raise ValueError(f"{name} must be a (low, high) pair, got {rng!r}") from None
-            for end in (lo, hi):  # a bool is an int to Python, not a coordinate
-                if isinstance(end, bool):
-                    raise ValueError(f"{name} must be a number, got {end!r}")
             if not (in_range(name, lo, -FLOAT_MAX) and in_range(name, hi, lo, open_low=True)):
                 raise ValueError(f"{name} must satisfy low < high, got {rng!r}")
             lo, hi = float(lo), float(hi)
@@ -176,12 +173,19 @@ class FeasibilityRegion:
 
     The region keeps only the mask's x-major run-length encoding ``rle``;
     the area fraction is summed from its runs and ``mask`` is decoded from
-    them, each on first read, and the mask is read-only.
+    them, each on first read, and the mask is read-only. The runs must cover
+    the grid: ``first`` is 0 or 1, and the runs are >= 0 and sum to nx*ny.
     """
 
     spec: GridSpec
     scenario: RelayScenario | FwaScenario
     rle: tuple[int, list[int]] = field(repr=False)  # (first, runs), as rle_decode takes them
+
+    def __post_init__(self) -> None:
+        first, runs = self.rle
+        if first not in (0, 1) or sum(runs) != self.spec.nx * self.spec.ny or min(runs) < 0:
+            raise ValueError("rle must start with 0 or 1 and have runs >= 0 that sum to "
+                             f"{self.spec.nx}*{self.spec.ny}, got ({first!r}, {runs!r:.60})")
 
     @classmethod
     def from_mask(cls, spec: GridSpec, mask, scenario) -> "FeasibilityRegion":

@@ -46,6 +46,17 @@ __all__ = [
 ]
 
 
+def _check_two_hop(s, wastes: tuple[str, ...], gains: tuple[str, ...]) -> None:
+    """A relay or FWA record's checks: its waste factors >= 1, its gains, the
+    geometry and k > 0 and finite, and an EnergyContext."""
+    for name in wastes:
+        _require(name, getattr(s, name), minimum=1.0)
+    for name in (*gains, "alpha", "d1", "d2", "d3", "k"):
+        _require(name, getattr(s, name), minimum=0.0, exclusive=True)
+    if not isinstance(s.ctx, EnergyContext):
+        raise ValueError(f"ctx must be an EnergyContext, got {s.ctx!r}")
+
+
 @dataclass(frozen=True)
 class RelayScenario:
     """Hardware, geometry and operating point of a relay comparison.
@@ -68,12 +79,7 @@ class RelayScenario:
     k: float = 1.0
 
     def __post_init__(self) -> None:
-        _require("w_tx_source", self.w_tx_source, minimum=1.0)
-        _require("w_tx_relay", self.w_tx_relay, minimum=1.0)
-        for name in ("g_rx_relay", "g_rx_sink", "alpha", "d1", "d2", "d3", "k"):
-            _require(name, getattr(self, name), minimum=0.0, exclusive=True)
-        if not isinstance(self.ctx, EnergyContext):
-            raise ValueError(f"ctx must be an EnergyContext, got {self.ctx!r}")
+        _check_two_hop(self, ("w_tx_source", "w_tx_relay"), ("g_rx_relay", "g_rx_sink"))
 
     def _rule(self) -> Rule:
         return Rule(
@@ -115,8 +121,8 @@ class Rule(NamedTuple):
         """a*d1**alpha + b*d2**alpha, for floats or numpy arrays."""
         return self.a * d1**self.alpha + self.b * d2**self.alpha
 
-    def margin(self, d1: float, d2: float, d3: float, include_c: bool = True) -> float:
-        """d3**alpha - rhs(d1, d2) - c (c only with include_c); > 0 iff assisted wins."""
+    def margin(self, d1: float, d2: float, d3: float) -> float:
+        """d3**alpha - rhs(d1, d2) - c; > 0 iff assisted wins."""
         try:
             margin = d3**self.alpha - self.rhs(d1, d2)
         except OverflowError:  # alpha > 0, so the largest distance's power overflowed
@@ -124,7 +130,7 @@ class Rule(NamedTuple):
             raise ValueError(
                 f"decision rule: d**alpha = {d!r}**{self.alpha!r} is outside the float range"
             ) from None
-        return margin - self.c if include_c else margin
+        return margin - self.c
 
     def power(self, d: float) -> float:
         """d**alpha on floats, inf where it overflows (as numpy's power gives)."""
@@ -198,7 +204,7 @@ def decision_rule_holds(s: RelayScenario) -> bool:
     It compares distances weighted by hardware ratios only; relay_verdict's
     use_relay is the same test with the non-path power term.
     """
-    return s._rule().margin(s.d1, s.d2, s.d3, include_c=False) > 0.0
+    return s._rule()._replace(c=0.0).margin(s.d1, s.d2, s.d3) > 0.0
 
 
 def ellipse_axes(s: RelayScenario) -> tuple[float, float]:

@@ -21,12 +21,16 @@ FLOAT_MIN = sys.float_info.min  # the smallest normal float
 def in_range(
     name: str, value: float, low: float, high: float = FLOAT_MAX, *, open_low: bool = False
 ) -> bool:
-    """``low <= value <= high`` (``low < value`` if open_low); a non-number, on
-    which the comparison raises a bare TypeError, is a ValueError naming ``name``."""
+    """``low <= value <= high`` (``low < value`` if open_low); a non-number is a
+    ValueError naming ``name``. A number is what a scenario file's parse gives:
+    a float, or an int that a float holds exactly, never a bool."""
     try:
-        return (low < value <= high) if open_low else (low <= value <= high)
+        inside = (low < value <= high) if open_low else (low <= value <= high)
+        if value is not True and value is not False and (not inside or value + 0.0 == value):
+            return inside
     except TypeError:
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
+        pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def finite_ratio(name: str, num: float, den: float) -> float:

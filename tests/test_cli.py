@@ -195,7 +195,9 @@ class TestConfigParsing:
             ({"capacity": "x", "capacity_uplink": 1e8}, "give both capacity_uplink"),
             (
                 {"capacity": 2e8, "capacity_uplink": 1e8, "capacity_downlink": 1e8},
-                "capacity disagrees with its per-direction fields",
+                # one agreement test over every spelling given, naming them and their values
+                r"capacity, capacity_uplink, capacity_downlink must be equal, "
+                r"got \[200000000.0, 100000000.0, 100000000.0\]",
             ),
             ({"capacity": 1e8, "capacity_uplink": 1e8, "capacity_downlink": 1e8}, None),
         ],

@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wastefigure import cascade as cascade_module, config, energy as energy_module
-from wastefigure.cascade import Stage
+from wastefigure.cascade import Cascade, Stage
+from wastefigure.channel import PathLossChannel
 from wastefigure.energy import EnergyContext, LinkTerminals
 from wastefigure.fwa import FwaScenario, fwa_verdict
-from wastefigure.config import cascade_to_config, load_scenario, parse_scenario
+from wastefigure.config import LinkSetup, cascade_to_config, load_scenario, parse_scenario
+from wastefigure.relay import RelayScenario
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -213,8 +215,8 @@ class TestSectionShapes:
              "link: missing required section channel"),
             ({"cascade": {}}, "cascade: expected a list of stages, got {}"),
             (dict(RELAY_DEMO, sweep={"x_range": [0]}), "sweep.x_range: expected [low, high], got [0]"),
-            (dict(RELAY_DEMO, sweep={"nx": 2.5}), "sweep.nx: expected an integer, got 2.5"),
             # the grid's own checks, prefixed with the section like the readers' errors
+            (dict(RELAY_DEMO, sweep={"nx": 2.5}), "sweep.nx must be an integer >= 2, got 2.5"),
             (dict(RELAY_DEMO, sweep={"x_range": [1, 0]}),
              "sweep.x_range must satisfy low < high, got (1.0, 0.0)"),
             (dict(RELAY_DEMO, sweep={"ny": 1}), "sweep.ny must be an integer >= 2, got 1"),
@@ -286,11 +288,12 @@ json.dump(echoes, sys.stdout)
 
 # -- the readers and checks as they were before their fast paths ------------
 #
-# Each reference runs in place of the function it is named after (see
-# ``reference_checks``), so its names resolve in that function's module:
-# ``_absent``, ``_num``, ``_ratio``, ``_mapping``, ``db_to_linear`` and
-# ``Stage`` in ``config``, ``_require_gain``, ``_require_waste`` and ``math``
-# in ``cascade``, ``math`` in ``energy``.
+# The record checks' references also hold two later rules: a bool is not a
+# number, and a stage label is a string. Each reference runs in place of the
+# function it is named after (see ``reference_checks``), so its names resolve
+# in that function's module: ``_absent``, ``_num``, ``_ratio``, ``_mapping``,
+# ``db_to_linear`` and ``Stage`` in ``config``, ``_require_gain``,
+# ``_require_waste`` and ``math`` in ``cascade``, ``math`` in ``energy``.
 
 
 def reference_mapping(value, allowed, where: str) -> dict:
@@ -350,11 +353,15 @@ def reference_parse_stage(entry, index: int):
 
 
 def reference_require_gain(name: str, value: float) -> None:
+    if isinstance(value, bool):
+        raise ValueError(f"{name}: gain must be a number, got {value!r}")
     if not (value > 0.0 and math.isfinite(value)):
         raise ValueError(f"{name}: gain must be positive and finite, got {value!r}")
 
 
 def reference_require_waste(name: str, value: float) -> None:
+    if isinstance(value, bool):
+        raise ValueError(f"{name}: waste factor must be a number, got {value!r}")
     if not (value >= 1.0 and math.isfinite(value)):
         raise ValueError(f"{name}: waste factor must be >= 1 and finite, got {value!r}")
 
@@ -364,6 +371,8 @@ def reference_stage_init(self, gain: float, waste: float, label: str = "") -> No
     object.__setattr__(self, "gain", gain)
     object.__setattr__(self, "waste", waste)
     object.__setattr__(self, "label", label)
+    if not isinstance(label, str):
+        raise ValueError(f"stage label must be a string, got {label!r}")
     name = self.label or "stage"
     _require_gain(name, self.gain)
     _require_waste(name, self.waste)
@@ -371,12 +380,16 @@ def reference_stage_init(self, gain: float, waste: float, label: str = "") -> No
 
 def reference_stage_passive(cls, gain: float, label: str = ""):
     name = label or "passive stage"
+    if isinstance(gain, bool):
+        raise ValueError(f"{name}: passive gain must be a number, got {gain!r}")
     if not (0.0 < gain <= 1.0):
         raise ValueError(f"{name}: passive gain must be in (0, 1], got {gain!r}")
     return cls(gain=gain, waste=1.0 / gain, label=label)
 
 
 def reference_require(name: str, value: float, *, minimum: float, exclusive: bool = False) -> None:
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     ok = value > minimum if exclusive else value >= minimum
     if not (ok and math.isfinite(value)):
         bound = ">" if exclusive else ">="
@@ -511,7 +524,7 @@ class TestReadersKeepTheirOutcome:
 
     @settings(max_examples=300, deadline=None)
     @given(gain=st.one_of(st.floats(0.01, 10.0), NUMBERS), waste=st.one_of(st.floats(1.0, 10.0), NUMBERS),
-           label=st.sampled_from(["", "lna"]))
+           label=st.sampled_from(["", "lna", 5]))
     def test_record_checks(self, gain, waste, label):
         for build in (
             lambda: Stage(gain, waste, label),
@@ -529,3 +542,65 @@ class TestReadersKeepTheirOutcome:
                 Stage(10**400, 1.0)
         with pytest.raises(ValueError, match=r"^stage: gain must be positive and finite, got 1000"):
             Stage(10**400, 1.0)
+
+
+# what a library caller may pass where a record takes a number or a label
+ODD_FIELD = st.one_of(st.floats(), st.integers(), st.just(2**53 + 1), ODD)
+ODD_LABEL = st.one_of(st.text(max_size=3), st.integers(), st.booleans(), st.none())
+KINDS = ["link-gain", "link-path-loss", "relay", "fwa", "cascade"]
+
+
+@st.composite
+def record_values(draw):
+    """Values that build a valid record of every kind, with up to three made odd.
+
+    ``v`` feeds ``build_record``'s positional fields: every entry is in
+    [1, 20] but ``v[6]`` (a link's gain, a channel's k) and ``v[9]`` (FWA's
+    rho_u), which are in [0, 1]. A stage is ``(passive, gain, waste, label)``.
+    """
+    v = draw(st.lists(st.floats(1.0, 20.0), min_size=15, max_size=15))
+    v[6], v[9] = draw(st.floats(1e-6, 1.0)), draw(st.floats(0.0, 1.0))
+    stages = [[draw(st.booleans()), draw(st.floats(1e-6, 1.0)), draw(st.floats(1.0, 20.0)),
+               draw(st.text(max_size=3))] for _ in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            v[draw(st.integers(0, 14))] = draw(ODD_FIELD)
+        else:
+            stage, i = draw(st.sampled_from(stages)), draw(st.integers(1, 3))
+            stage[i] = draw(ODD_LABEL if i == 3 else ODD_FIELD)
+    return v, draw(st.booleans()), stages
+
+
+def build_record(kind, v, same_gain, stages):
+    """The record of ``kind`` from the drawn values ``v`` (a cascade from ``stages``)."""
+    if kind == "cascade":
+        return Cascade(tuple(
+            Stage.passive(gain, label) if passive else Stage(gain, waste, label)
+            for passive, gain, waste, label in stages
+        ))
+    ctx = EnergyContext(*v[:3])
+    if kind == "link-gain":
+        return LinkSetup(ctx, LinkTerminals(*v[3:6]), v[6], None)
+    if kind == "link-path-loss":  # g_ch is the channel's gain, or a drawn one
+        ch = PathLossChannel(*v[6:9])
+        return LinkSetup(ctx, LinkTerminals(*v[3:6]), ch.gain() if same_gain else v[9], ch)
+    if kind == "relay":
+        return RelayScenario(*v[3:11], ctx, k=v[11])
+    return FwaScenario(*v[3:14], ctx=ctx, k=v[14])
+
+
+class TestLibraryRecordsRoundTrip:
+    """A record built in the library from any values raises a ValueError or
+    equals the parse of its echo."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(kind=st.sampled_from(KINDS), values=record_values())
+    def test_record_equals_the_parse_of_its_echo(self, kind, values):
+        try:
+            record = build_record(kind, *values)
+        except ValueError as exc:
+            assert str(exc)
+            return
+        doc = cascade_to_config(record) if kind == "cascade" else record.to_config()
+        sf = parse_scenario(json.loads(json.dumps(doc)))
+        assert getattr(sf, sf.kind) == record

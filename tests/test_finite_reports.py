@@ -246,6 +246,7 @@ class TestLibraryNamedErrors:
         [
             (lambda: link_waste(LinkTerminals(1.0, 1.0, 1.0), 1.5),
              "g_ch must be in (0, 1] and finite, got 1.5"),
+            (lambda: link_waste(LinkTerminals(1.0, 1.0, 1.0), True), "g_ch must be a number, got True"),
             (lambda: FwaScenario(**dict(RECORDS[FwaScenario], rho_u=1.5)),
              "rho_u must be in [0, 1], got 1.5"),
             (lambda: FwaScenario(**dict(RECORDS[FwaScenario], ctx=None)),
@@ -254,8 +255,15 @@ class TestLibraryNamedErrors:
             # a link's channel gain has one value: its echo re-parses with the channel's
             (lambda: LinkSetup(CTX, LinkTerminals(2.0, 1.5, 10.0), 0.5, PathLossChannel(1e-3, 2.0, 1.0)),
              "g_ch 0.5 is not the channel's gain 0.001"),
+            # what a record's echo could not re-parse: a gain above 1, a label that is no
+            # string, an int that a float cannot hold (the parse would round it)
+            (lambda: LinkSetup(CTX, LinkTerminals(2.0, 1.5, 10.0), 5.0, None),
+             "g_ch must be in (0, 1] and finite, got 5.0"),
+            (lambda: Stage(2.0, 1.5, label=5), "stage label must be a string, got 5"),
+            (lambda: EnergyContext(1e-20, 2**53 + 1), "capacity must be a number, got 9007199254740993"),
         ],
-        ids=["link-g_ch", "traffic-share", "fwa-ctx", "cascade-entry", "link-setup-g_ch"],
+        ids=["link-g_ch", "link-g_ch-bool", "traffic-share", "fwa-ctx", "cascade-entry", "link-setup-g_ch",
+             "link-setup-gain-range", "stage-label", "inexact-int"],
     )
     def test_invalid_argument_is_named(self, build, message):
         with pytest.raises(ValueError) as raised:
@@ -535,7 +543,7 @@ class TestNonNumberFieldsAreNamed:
         for build, kwargs in RECORDS.items():
             build(**kwargs)
 
-    @pytest.mark.parametrize("bad", ["1", None])
+    @pytest.mark.parametrize("bad", ["1", None, True])  # a bool is an int to Python, not a number
     @pytest.mark.parametrize("build, name", NUMERIC_FIELDS)
     def test_non_number_is_a_value_error_naming_the_field(self, build, name, bad):
         with pytest.raises(ValueError) as raised:

@@ -960,11 +960,24 @@ class TestIntervalRuns:
         assert np.array_equal(region.mask, mask)
         assert not region.mask.flags.writeable
 
-    def test_hand_built_mask_must_match_the_grid(self):
-        with pytest.raises(ValueError, match="does not match the 3x4 grid"):
-            FeasibilityRegion.from_mask(
-                spec=GridSpec(nx=3, ny=4), mask=np.zeros((4, 3), dtype=bool), scenario=relay_scn(),
-            )
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: FeasibilityRegion.from_mask(
+                spec=GridSpec(nx=3, ny=4), mask=np.zeros((4, 3), dtype=bool), scenario=relay_scn()),
+             "mask shape (4, 3) does not match the 3x4 grid"),
+            # hand-built runs must cover the grid: a negative run, too many or too few
+            # cells, a first value other than 0 or 1
+            *[(lambda rle=rle: FeasibilityRegion(GridSpec(nx=3, ny=3), relay_scn(), rle),
+               f"rle must start with 0 or 1 and have runs >= 0 that sum to 3*3, got {rle}")
+              for rle in [(0, [12, -3]), (0, [4, 6]), (0, [5]), (2, [9])]],
+        ],
+        ids=["mask-shape", "negative-run", "too-many-cells", "too-few-cells", "first-not-0-or-1"],
+    )
+    def test_hand_built_mask_must_match_the_grid(self, build, message):
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == message
 
     def test_doc_runs_are_a_copy(self):
         region = sweep_relay(relay_scn(), GridSpec(nx=21, ny=13))
