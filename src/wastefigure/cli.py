@@ -28,7 +28,7 @@ from .energy import (
     link_waste_approx,
     max_efficient_distance,
 )
-from .fwa import fwa_ellipse_axes, fwa_verdict
+from .fwa import fwa_verdict
 from .region import sweep_fwa, sweep_relay, region_json_doc, write_region_csv
 from .relay import ellipse_axes, relay_verdict
 from .units import linear_to_db
@@ -144,16 +144,16 @@ def _cmd_link(sf: config.ScenarioFile, _csv_path: None) -> tuple[list[str], dict
     return lines, doc
 
 
-# per-kind parts of the relay/fwa command: verdict, axes and sweep functions,
+# per-kind parts of the relay/fwa command: verdict and sweep functions,
 # the verdict's decision field and its label, whether to print the traffic mix
 _TWO_HOP = {
-    "relay": (relay_verdict, ellipse_axes, sweep_relay, "use_relay", "use relay", False),
-    "fwa": (fwa_verdict, fwa_ellipse_axes, sweep_fwa, "use_ap", "use access point", True),
+    "relay": (relay_verdict, sweep_relay, "use_relay", "use relay", False),
+    "fwa": (fwa_verdict, sweep_fwa, "use_ap", "use access point", True),
 }
 
 
 def _cmd_two_hop(sf: config.ScenarioFile, csv_path: str | None) -> tuple[list[str], dict]:
-    verdict_fn, axes_fn, sweep_fn, decision, label, show_mix = _TWO_HOP[sf.kind]
+    verdict_fn, sweep_fn, decision, label, show_mix = _TWO_HOP[sf.kind]
     s = getattr(sf, sf.kind)
     v = _noted(verdict_fn, s)
     report = dataclasses.asdict(v)
@@ -168,7 +168,7 @@ def _cmd_two_hop(sf: config.ScenarioFile, csv_path: str | None) -> tuple[list[st
         f"rule margin = {_fmt(v.decision_margin)}",
     ]
     if s.alpha == 2.0:
-        a, b = axes_fn(s)
+        a, b = ellipse_axes(s)
         lines.append(f"ellipse semi-axes: a = {_fmt(a)} (d1/d3), b = {_fmt(b)} (d2/d3)")
         report["ellipse"] = {"a": a, "b": b}
     doc = {"scenario": s.to_config(), "report": report}

@@ -2,11 +2,13 @@
 
 Extends the relay comparison to bidirectional traffic. The direct route
 runs UE <-> BS over distance d3; the assisted route inserts an access
-point, with d1 the first-hop distance and d2 the second-hop distance in
-each direction (channels are reciprocal, one gain per link). Uplink and
-downlink see different hardware - each direction's hop waste pairs the
-transmitting node's waste factor with the receiving node's gain - so
-the energies are weighted by the traffic mix before comparing.
+point, and each direction's first hop spans d1 and its second d2: UE -> AP
+and BS -> AP over d1, AP -> BS and AP -> UE over d2. So links are not
+reciprocal when d1 != d2 (a planar sweep, UE at the origin, charges the
+downlink's BS -> AP hop at |p|). Uplink and downlink see different
+hardware - each hop's waste pairs the transmitting node's waste factor
+with the receiving node's gain - so the energies are weighted by the
+traffic mix before comparing.
 
 The "access point saves energy" test is the relay rule of ``relay``
 with traffic-and-hardware coefficients:
@@ -18,13 +20,13 @@ with traffic-and-hardware coefficients:
     B = (rho_u * w_tx_ap / g_rx_bs + rho_d * w_tx_ap / g_rx_ue) / D
 
 and C the non-path power term over D (zero when p_np = 0), built as a
-``relay.Rule``: the verdict decides by the sign of its margin, and the
-rule test, the ellipse axes and the sweeps evaluate it; the sweeps
-include C, scaled by the scenario's d3 in normalized mode. At alpha = 2
-the C = 0 advantageous boundary is a quarter ellipse with semi-axes
-sqrt(1/A) and sqrt(1/B); pure uplink or pure downlink traffic reduces
-everything to the single-direction relay comparison with the
-corresponding role assignment.
+``relay.Rule``: the verdict decides by the sign of its margin, and
+``relay.decision_rule_holds``, ``relay.ellipse_axes`` and the sweeps
+evaluate it for both kinds, the sweeps with C (scaled by the scenario's
+d3 in normalized mode). At alpha = 2 the C = 0 advantageous boundary is
+a quarter ellipse with semi-axes sqrt(1/A) and sqrt(1/B); pure uplink or
+pure downlink traffic reduces everything to the single-direction relay
+comparison with the corresponding role assignment.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ __all__ = [
     "fwa_relayed_energy",
     "fwa_ratio",
     "rule_coefficients",
-    "fwa_decision_holds",
-    "fwa_ellipse_axes",
     "fwa_verdict",
 ]
 
@@ -122,16 +122,6 @@ def fwa_ratio(s: FwaScenario) -> float:
 def rule_coefficients(s: FwaScenario) -> tuple[float, float]:
     """Distance-rule coefficients (A, B) for the current traffic mix."""
     return s._rule()[:2]
-
-
-def fwa_decision_holds(s: FwaScenario) -> bool:
-    """Closed-form test (negligible non-path power): does the AP save energy."""
-    return s._rule()._replace(c=0.0).margin(s.d1, s.d2, s.d3) > 0.0
-
-
-def fwa_ellipse_axes(s: FwaScenario) -> tuple[float, float]:
-    """Semi-axes of the advantageous-region boundary at alpha = 2."""
-    return s._rule().axes()
 
 
 def fwa_verdict(s: FwaScenario) -> FwaVerdict:

@@ -209,38 +209,27 @@ class FeasibilityRegion:
         return mask
 
 
-def _first_true(pred, nrows: int, start: int, stop: int) -> np.ndarray:
-    """Per row, the first j in [start, stop) with pred true, else stop.
+def _first_true(pred, seeds: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Per row, the first j in [start, stop) with pred true, else stop, tried at the seeds first.
 
     ``pred(rows, js)`` evaluates the predicate at (rows[k], js[k]) and must
-    be false-then-true along j in every row.
-    """
-    import numpy as np
-    lo = np.full(nrows, start)
-    hi = np.full(nrows, stop)
-    while True:
-        rows = np.flatnonzero(lo < hi)
-        if rows.size == 0:
-            return lo
-        mid = (lo[rows] + hi[rows]) // 2
-        t = pred(rows, mid)
-        hi[rows[t]] = mid[t]
-        lo[rows[~t]] = mid[~t] + 1
-
-
-def _seeded_first_true(pred, seeds: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """``_first_true(pred, seeds.size, start, stop)``, tried at the seeds first.
-
-    As pred is false-then-true along each row, a seed s in [start, stop] is
+    be false-then-true along j in every row. So a seed s in [start, stop] is
     the answer iff pred holds at s (or s == stop) and fails at s - 1 (or
-    s == start). Only the rows whose seed fails that check are bisected.
+    s == start): one pred call checks every seed, and only the rows whose
+    seed fails that check are bisected over [start, stop).
     """
     import numpy as np
     s = np.clip(seeds, start, stop)
     at, before = np.flatnonzero(s < stop), np.flatnonzero(s > start)
     t = pred(np.concatenate([at, before]), np.concatenate([s[at], s[before] - 1]))
     bad = np.concatenate([at[~t[: at.size]], before[t[at.size :]]])  # no row fails both; any order
-    s[bad] = _first_true(lambda rows, js: pred(bad[rows], js), bad.size, start, stop)
+    lo, hi = np.full(bad.size, start), np.full(bad.size, stop)
+    while (rows := np.flatnonzero(lo < hi)).size:
+        mid = (lo[rows] + hi[rows]) // 2
+        t = pred(bad[rows], mid)
+        hi[rows[t]] = mid[t]
+        lo[rows[~t]] = mid[~t] + 1
+    s[bad] = lo
     return s
 
 
@@ -299,10 +288,8 @@ def _planar_runs(spec: GridSpec, rule, lhs: float, d3: float) -> tuple[int, list
     j0 = int(np.searchsorted(ys, 0.0))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         y_star = _boundary_y(rule, lhs, xs, d3)
-        his = _seeded_first_true(
-            lambda rows, js: ~holds(rows, js), np.searchsorted(ys, y_star), j0, spec.ny
-        )
-        los = _seeded_first_true(holds, np.searchsorted(ys, -y_star, side="right"), 0, j0)
+        his = _first_true(lambda rows, js: ~holds(rows, js), np.searchsorted(ys, y_star), j0, spec.ny)
+        los = _first_true(holds, np.searchsorted(ys, -y_star, side="right"), 0, j0)
     return _intervals_rle(los, his, spec.ny)
 
 

@@ -17,8 +17,8 @@ bit" into a closed-form test on distances and hardware ratios:
 with ``A = g_rx_sink / g_rx_relay``, ``B = w_tx_relay / w_tx_source`` and
 C the non-path power term (zero when p_np = 0). ``Rule`` holds this
 algebra for both kinds (FWA weights A, B and C by traffic): the verdict
-decides by its margin's sign, and the rule test, ellipse axes and sweeps
-(``region``) evaluate it. Normalized sweeps scale C by the scenario's d3.
+decides by its margin's sign; ``decision_rule_holds``, ``ellipse_axes``
+and the sweeps (``region``) evaluate it, C scaled by d3 in normalized sweeps.
 
 At alpha = 2 the boundary of the C = 0 advantageous set in normalized
 (d1/d3, d2/d3) coordinates is a quarter ellipse with semi-axes
@@ -29,10 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .energy import LN2, EnergyContext, _check_regime, _require
 from .units import finite, finite_power, finite_ratio
+
+if TYPE_CHECKING:
+    from .fwa import FwaScenario
 
 __all__ = [
     "RelayScenario",
@@ -146,17 +149,6 @@ class Rule(NamedTuple):
         d3_alpha = finite_power("sweep: d3**alpha", d3, self.alpha)
         return 1.0 - self.c / d3_alpha if normalized else d3_alpha - self.c
 
-    def axes(self) -> tuple[float, float]:
-        """Semi-axes sqrt(1/a), sqrt(1/b) of the c = 0 boundary at alpha = 2."""
-        if self.alpha != 2.0:
-            raise ValueError(
-                f"the advantageous region is an ellipse only at alpha = 2, got {self.alpha!r}"
-            )
-        return tuple(
-            math.sqrt(finite_ratio(f"ellipse axes: 1/{n}", 1.0, w))
-            for n, w in zip("AB", (self.a, self.b))
-        )
-
 
 def _compare(s, e3: float, e12: float) -> tuple:
     """Verdict fields (e_direct, e_relayed, ratio, margin > 0, rule margin), all finite."""
@@ -198,21 +190,26 @@ def relay_ratio(s: RelayScenario) -> float:
     return relay_verdict(s).ratio
 
 
-def decision_rule_holds(s: RelayScenario) -> bool:
-    """Closed-form test (negligible non-path power): does the relay save energy.
+def decision_rule_holds(s: RelayScenario | FwaScenario) -> bool:
+    """Closed-form test (negligible non-path power): does the relay or AP save energy.
 
-    It compares distances weighted by hardware ratios only; relay_verdict's
-    use_relay is the same test with the non-path power term.
+    It compares distances weighted by hardware (and, for FWA, traffic) ratios
+    only; the verdict's decision is the same test with the non-path power term.
     """
     return s._rule()._replace(c=0.0).margin(s.d1, s.d2, s.d3) > 0.0
 
 
-def ellipse_axes(s: RelayScenario) -> tuple[float, float]:
-    """Semi-axes (a, b) of the advantageous-region boundary at alpha = 2.
+def ellipse_axes(s: RelayScenario | FwaScenario) -> tuple[float, float]:
+    """Semi-axes sqrt(1/A), sqrt(1/B) of the C = 0 advantageous boundary at alpha = 2.
 
     Coordinates are normalized distances: a along d1/d3, b along d2/d3.
     """
-    return s._rule().axes()
+    rule = s._rule()
+    if rule.alpha != 2.0:
+        raise ValueError(f"the advantageous region is an ellipse only at alpha = 2, got {rule.alpha!r}")
+    return tuple(
+        math.sqrt(finite_ratio(f"ellipse axes: 1/{n}", 1.0, w)) for n, w in zip("AB", rule[:2])
+    )
 
 
 def relay_verdict(s: RelayScenario) -> RelayVerdict:

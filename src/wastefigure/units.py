@@ -23,13 +23,11 @@ def in_range(
 ) -> bool:
     """``low <= value <= high`` (``low < value`` if open_low); a non-number is a
     ValueError naming ``name``. A number is what a scenario file's parse gives:
-    a float, or an int that a float holds exactly, never a bool."""
-    try:
+    a float (np.float64 too), or an int that a float holds exactly, never a bool."""
+    if isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)):
         inside = (low < value <= high) if open_low else (low <= value <= high)
-        if value is not True and value is not False and (not inside or value + 0.0 == value):
+        if not inside or value + 0.0 == value:
             return inside
-    except TypeError:
-        pass
     raise ValueError(f"{name} must be a number, got {value!r}")
 
 

@@ -6,6 +6,7 @@ Oracles are written out locally so every check is an independent route
 to the number under test, not a restatement of library internals.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,7 +30,6 @@ from wastefigure import (
     ellipse_axes,
     energy_per_bit_link,
     energy_per_bit_min,
-    fwa_decision_holds,
     fwa_direct_energy,
     fwa_relayed_energy,
     linear_to_db,
@@ -308,11 +308,15 @@ def test_c10_fwa_reductions():
                        g_snk=s.g_rx_ue, alpha=s.alpha, d1=s.d1, d2=s.d2, d3=s.d3)
         assert math.isclose(fwa_direct_energy(s), direct_energy(r), rel_tol=1e-12)
         assert math.isclose(fwa_relayed_energy(s), relayed_energy(r), rel_tol=1e-12)
-        assert fwa_decision_holds(s) == decision_rule_holds(r)
+        assert decision_rule_holds(s) == decision_rule_holds(r)
         reg_f = sweep_fwa(s, spec)
         reg_r = sweep_relay(r, spec)
         assert np.array_equal(reg_f.mask, reg_r.mask)
         assert math.isclose(reg_f.area_fraction, reg_r.area_fraction, rel_tol=1e-12)
+        # at alpha = 2 the pure mix's ellipse is the relay's
+        axes_f = ellipse_axes(dataclasses.replace(s, alpha=2.0))
+        axes_r = ellipse_axes(dataclasses.replace(r, alpha=2.0))
+        assert all(math.isclose(f, g, rel_tol=1e-12) for f, g in zip(axes_f, axes_r))
     print("[acceptance] C10 FWA pure-traffic reductions: PASS")
 
 

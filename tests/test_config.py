@@ -7,8 +7,10 @@ import os
 import subprocess
 import sys
 from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -545,7 +547,11 @@ class TestReadersKeepTheirOutcome:
 
 
 # what a library caller may pass where a record takes a number or a label
-ODD_FIELD = st.one_of(st.floats(), st.integers(), st.just(2**53 + 1), ODD)
+# numbers of other types (numpy scalars but np.float64, fractions) are not numbers either
+ODD_FIELD = st.one_of(
+    st.floats(), st.integers(), st.just(2**53 + 1), ODD,
+    st.sampled_from([np.int64(10**8), Fraction(1, 2), np.float32(2.0), np.True_]),
+)
 ODD_LABEL = st.one_of(st.text(max_size=3), st.integers(), st.booleans(), st.none())
 KINDS = ["link-gain", "link-path-loss", "relay", "fwa", "cascade"]
 

@@ -19,6 +19,7 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -543,7 +544,10 @@ class TestNonNumberFieldsAreNamed:
         for build, kwargs in RECORDS.items():
             build(**kwargs)
 
-    @pytest.mark.parametrize("bad", ["1", None, True])  # a bool is an int to Python, not a number
+    # a bool is an int to Python, not a number; nor is a numeric type a scenario parse never gives
+    @pytest.mark.parametrize(
+        "bad", ["1", None, True, np.int64(10**8), Fraction(1, 2), np.float32(2.0), np.True_]
+    )
     @pytest.mark.parametrize("build, name", NUMERIC_FIELDS)
     def test_non_number_is_a_value_error_naming_the_field(self, build, name, bad):
         with pytest.raises(ValueError) as raised:

@@ -9,10 +9,10 @@ from wastefigure import (
     EnergyContext,
     FwaScenario,
     RelayScenario,
+    decision_rule_holds,
     direct_energy,
-    fwa_decision_holds,
+    ellipse_axes,
     fwa_direct_energy,
-    fwa_ellipse_axes,
     fwa_ratio,
     fwa_relayed_energy,
     fwa_verdict,
@@ -208,7 +208,7 @@ class TestDecision:
         rng = np.random.default_rng(33)
         for _ in range(300):
             s = random_scenario(rng)
-            assert fwa_decision_holds(s) == (fwa_ratio(s) < 1.0)
+            assert decision_rule_holds(s) == (fwa_ratio(s) < 1.0)
 
     def test_verdict_fields_consistent(self):
         rng = np.random.default_rng(34)
@@ -218,28 +218,28 @@ class TestDecision:
             assert math.isclose(v.e_direct, fwa_direct_energy(s), rel_tol=1e-15)
             assert math.isclose(v.e_relayed, fwa_relayed_energy(s), rel_tol=1e-15)
             assert v.use_ap == (v.ratio < 1.0)
-            assert (v.decision_margin > 0.0) == fwa_decision_holds(s)
+            assert (v.decision_margin > 0.0) == decision_rule_holds(s)
 
     def test_reference_deployment_prefers_ap_nearby(self):
-        assert fwa_decision_holds(hw_scenario(0.5, d1=0.4, d2=0.5, d3=1.0))
-        assert not fwa_decision_holds(hw_scenario(0.5, d1=0.9, d2=0.9, d3=1.0))
+        assert decision_rule_holds(hw_scenario(0.5, d1=0.4, d2=0.5, d3=1.0))
+        assert not decision_rule_holds(hw_scenario(0.5, d1=0.9, d2=0.9, d3=1.0))
 
 
 class TestEllipse:
     def test_axes_from_coefficients(self):
         s = hw_scenario(0.5, alpha=2.0)
         a, b = rule_coefficients(s)
-        ax, bx = fwa_ellipse_axes(s)
+        ax, bx = ellipse_axes(s)
         assert math.isclose(ax, 1.0 / math.sqrt(a), rel_tol=1e-15)
         assert math.isclose(bx, 1.0 / math.sqrt(b), rel_tol=1e-15)
 
     def test_requires_square_law(self):
         with pytest.raises(ValueError, match="alpha"):
-            fwa_ellipse_axes(hw_scenario(0.5, alpha=4.0))
+            ellipse_axes(hw_scenario(0.5, alpha=4.0))
 
     def test_boundary_points_have_zero_margin(self):
         base = hw_scenario(0.5, alpha=2.0)
-        ax, bx = fwa_ellipse_axes(base)
+        ax, bx = ellipse_axes(base)
         for theta in (0.2, 0.8, 1.4):
             s = hw_scenario(
                 0.5,
@@ -314,7 +314,7 @@ class TestUnrepresentableDistance:
         s = hw_scenario(0.5, alpha=6.0, d1=5e59, d2=5e59, d3=1e60)
         match = r"^decision rule: d\*\*alpha = 1e\+60\*\*6\.0 is outside the float range"
         with pytest.raises(ValueError, match=match):
-            fwa_decision_holds(s)
+            decision_rule_holds(s)
 
 
 class TestValidation:
@@ -350,4 +350,4 @@ class TestUnrepresentableEllipse:
         )
         assert rule_coefficients(s)[0] == 0.0
         with pytest.raises(ValueError, match=r"^ellipse axes: .* outside the float range"):
-            fwa_ellipse_axes(s)
+            ellipse_axes(s)

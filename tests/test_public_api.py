@@ -11,8 +11,7 @@ PUBLIC = {
     "cascade_waste", "channel_gain", "channel_waste", "compose_subsystems",
     "consumption_factor", "contribution_report", "db_to_linear", "decision_rule_holds",
     "direct_energy", "ellipse_axes", "energy_per_bit_link", "energy_per_bit_min",
-    "fwa_decision_holds", "fwa_direct_energy", "fwa_ellipse_axes", "fwa_ratio",
-    "fwa_relayed_energy", "fwa_verdict", "linear_to_db", "link_waste", "link_waste_approx",
+    "fwa_direct_energy", "fwa_ratio", "fwa_relayed_energy", "fwa_verdict", "linear_to_db", "link_waste", "link_waste_approx",
     "max_efficient_distance", "min_consumed_power", "region_json_doc", "region_subset",
     "relay_ratio", "relay_verdict", "relayed_energy", "rle_decode", "rule_coefficients",
     "snr_min", "stage_waste_two", "sweep_fwa", "sweep_relay", "wideband_rate_limit",
@@ -22,7 +21,7 @@ MODULES = ("cascade", "channel", "energy", "fwa", "region", "relay", "units")
 
 
 def test_all_lists_each_public_name_once():
-    assert len(wastefigure.__all__) == len(set(wastefigure.__all__)) == 53
+    assert len(wastefigure.__all__) == len(set(wastefigure.__all__)) == 51
     assert set(wastefigure.__all__) == PUBLIC
 
 

@@ -478,12 +478,12 @@ def true_from(firsts, start, stop):
 
 
 class TestSeededFirstTrue:
-    """Seeded row ends are certified by the predicate itself, so they equal the bisection."""
+    """Seeded row ends are certified by the predicate itself, and bisected where they fail."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_adversarial_seeds_equal_bisection(self, data):
-        from wastefigure.region import _first_true, _seeded_first_true
+        from wastefigure.region import _first_true
 
         nrows = data.draw(st.integers(min_value=1, max_value=40))
         start = data.draw(st.integers(min_value=0, max_value=20))
@@ -496,26 +496,25 @@ class TestSeededFirstTrue:
             st.integers(min_value=-(10**12), max_value=10**12),
         )
         pred = true_from(firsts, start, stop)
-        got = _seeded_first_true(pred, data.draw(row_ints(seed)), start, stop)
-        assert np.array_equal(got, _first_true(pred, nrows, start, stop))
+        got = _first_true(pred, data.draw(row_ints(seed)), start, stop)
         assert np.array_equal(got, firsts)
 
     @pytest.mark.parametrize("start", [0, 7])
     def test_empty_range_returns_start(self, start):
-        from wastefigure.region import _seeded_first_true
+        from wastefigure.region import _first_true
 
         pred = true_from(np.array([start] * 4), start, start)
         seeds = np.array([start - 5, start, start + 1, 10**9])
-        assert np.array_equal(_seeded_first_true(pred, seeds, start, start), [start] * 4)
+        assert np.array_equal(_first_true(pred, seeds, start, start), [start] * 4)
 
     def test_exact_seeds_evaluate_the_predicate_once(self):
-        from wastefigure.region import _seeded_first_true
+        from wastefigure.region import _first_true
 
         firsts = np.array([0, 3, 10, 5, 10, 1])
         calls = []
         pred = true_from(firsts, 0, 10)
         counted = lambda rows, js: calls.append(rows.size) or pred(rows, js)
-        assert np.array_equal(_seeded_first_true(counted, firsts.copy(), 0, 10), firsts)
+        assert np.array_equal(_first_true(counted, firsts.copy(), 0, 10), firsts)
         assert calls == [9]  # one call: at s in the 4 rows with s < 10, at s - 1 in the 5 with s > 0
 
     @settings(max_examples=300, deadline=None)
